@@ -10,6 +10,7 @@ exit code.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -50,6 +51,10 @@ def _check_value(name, value, where, kind, low=None, high=None,
         raise ConfigError(
             f'invalid value for "{name}" in {where}: expected {kind.__name__},'
             f" got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(
+            f'invalid value for "{name}" in {where}: must be finite, '
+            f"got {value}")
     if low is not None and (value <= low if open_low else value < low):
         cmp = ">" if open_low else ">="
         raise ConfigError(

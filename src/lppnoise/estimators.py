@@ -10,6 +10,7 @@ keyed randomness itself.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -399,7 +400,8 @@ def walk_spec(values, probs) -> WalkSpec:
     probs = tuple(float(q) for q in probs)
     if len(values) != len(probs) or not values:
         raise ValueError("values and probs must be matching nonempty tuples")
-    if any(q < 0 for q in probs) or abs(sum(probs) - 1.0) > 1e-12:
+    if (not all(math.isfinite(q) and q >= 0 for q in probs)
+            or abs(sum(probs) - 1.0) > 1e-12):
         raise ValueError("probs must be a probability vector")
     v = np.array(values, dtype=float)
     q = np.array(probs)
@@ -433,6 +435,12 @@ def rw_exact_nonneg(spec: WalkSpec, n_steps: int) -> float:
     return float(dist.sum())
 
 
+# Steps in rw_nonneg_bound's first block, and the most keys one block
+# draws (2**21 float64 uniforms are 16 MiB).
+_WALK_FIRST_BLOCK = 16
+_WALK_DRAW_BUDGET = 2**21
+
+
 @dataclass(frozen=True)
 class RwBoundReport:
     spec: WalkSpec
@@ -448,24 +456,41 @@ def rw_nonneg_bound(spec: WalkSpec, n_steps: int, replicas: int,
                     seed: int) -> RwBoundReport:
     """Simulated stay-nonnegative probability against the closed bound.
 
+    Step ``k`` of walk ``w`` is the keyed draw ``(seed, GENERIC, w, k, 0)``.
+    Walks advance in blocks of steps (16, then doubling) and a walk that
+    has gone negative is dropped, so it draws no further keys; skipping a
+    draw leaves every other draw unchanged, so the hit count equals the
+    one from simulating all N steps of every walk.  A block holds at most
+    ``_WALK_DRAW_BUDGET`` draws (alive walks x steps), which bounds memory
+    for any ``replicas`` and ``n_steps``.
+
     An exact value is attached for the two-point support {-1, +1} with
     N <= 24 (transition enumeration elsewhere in tests)."""
     if replicas < 1:
         raise ValueError("need at least one replica")
-    cum = np.cumsum(spec.probs)
+    # Searching all but the last cut point maps every u in [0, 1) to a
+    # valid index even when the probabilities sum to just under 1.
+    cuts = np.cumsum(spec.probs)[:-1]
     vals = np.array(spec.values, dtype=np.int64)
     hits = 0
-    chunk = max(1, min(replicas, 2 * 10**7 // max(n_steps, 1)))
-    steps_idx = np.arange(n_steps, dtype=np.int64)
-    done = 0
-    while done < replicas:
-        size = min(chunk, replicas - done)
-        reps = np.arange(done, done + size, dtype=np.int64)
-        u = uniform_array(seed, Stream.GENERIC, reps[:, None], steps_idx[None, :], 0)
-        draws = vals[np.searchsorted(cum, u, side="right")]
-        ok = (np.cumsum(draws, axis=1) >= 0).all(axis=1)
-        hits += int(ok.sum())
-        done += size
+    for first in range(0, replicas, _WALK_DRAW_BUDGET):
+        walk = np.arange(first, min(first + _WALK_DRAW_BUDGET, replicas),
+                         dtype=np.int64)
+        pos = np.zeros(walk.size, dtype=np.int64)
+        step, block = 0, _WALK_FIRST_BLOCK
+        while walk.size and step < n_steps:
+            size = min(block, n_steps - step, _WALK_DRAW_BUDGET // walk.size)
+            steps = np.arange(step, step + size, dtype=np.int64)
+            u = uniform_array(seed, Stream.GENERIC, walk[:, None],
+                              steps[None, :], 0)
+            path = np.cumsum(vals[np.searchsorted(cuts, u, side="right")],
+                             axis=1)
+            path += pos[:, None]
+            alive = path.min(axis=1) >= 0
+            walk, pos = walk[alive], path[alive, -1]
+            step += size
+            block *= 2
+        hits += walk.size
     bound = 4.0 * spec.sigma / (spec.delta * np.sqrt(n_steps)) + spec.mu / spec.delta
     exact = None
     if set(spec.values) <= {-1, 1} and n_steps <= 24:

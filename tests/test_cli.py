@@ -217,6 +217,24 @@ def test_run_rejects_unknown_param(tmp_path):
     assert 'unknown parameter "q"' in res.output
 
 
+@pytest.mark.parametrize("name,params,field", [
+    ("rw-bound", {"values": [-1, 1], "probs": [float("nan"), 1.0],
+                  "n_steps": [100], "replicas": 100}, "probs[0]"),
+    ("corr-decay", {"p": 0.5, "n": 8, "t_values": [float("nan")],
+                    "replicas": 30}, "t_values[0]"),
+    ("corr-decay", {"p": float("nan"), "n": 8, "t_values": [0.5],
+                    "replicas": 30}, "p"),
+])
+def test_run_rejects_non_finite_float(tmp_path, name, params, field):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(   # json writes NaN / Infinity literals
+        {"seed": 1, "output_dir": str(tmp_path / "out"),
+         "experiments": [{"name": name, "params": params}]}))
+    res = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert f'invalid value for "{field}" in {name}: must be finite' in res.output
+
+
 def test_run_missing_config_file(tmp_path):
     res = CliRunner().invoke(main, ["run", "--config",
                                     str(tmp_path / "absent.json")])

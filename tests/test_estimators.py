@@ -2,10 +2,14 @@
 oracles, statistical pieces against pinned-seed expectations."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from lppnoise import estimators
 from lppnoise.estimators import (bit_influence_on_Tn, corr_decay,
                                  corr_difference_ci,
                                  covariance_monotonicity_bruteforce,
@@ -19,7 +23,7 @@ from lppnoise.estimators import (bit_influence_on_Tn, corr_decay,
                                  walk_spec)
 from lppnoise.lattice import NoiseKind, Rect, WeightConfig, site_bits, weights
 from lppnoise.lpp import travel_time
-from lppnoise.rng import Stream, derive_seed
+from lppnoise.rng import Stream, derive_seed, uniform_array
 from lppnoise.stationary import lambda_params
 
 
@@ -153,6 +157,8 @@ def test_walk_spec_moments_and_validation():
         walk_spec((-2, -1), (0.5, 0.5))      # delta = 0
     with pytest.raises(ValueError):
         walk_spec((0, 1), (0.0, 1.0))        # sigma = 0
+    with pytest.raises(ValueError):
+        walk_spec((-1, 1), (np.nan, 1.0))    # non-finite probability
 
 
 def test_rw_bound_report():
@@ -165,6 +171,81 @@ def test_rw_bound_report():
     assert rep.q_hat.estimate <= rep.bound
     long = rw_nonneg_bound(spec, 100, replicas=500, seed=19)
     assert long.exact is None  # exact DP only attached for tiny walks
+
+
+def _rw_hits_full_matrix(spec, n_steps, replicas, seed):
+    """Reference: draw all N steps of every walk in one matrix."""
+    cum = np.cumsum(spec.probs)
+    vals = np.array(spec.values, dtype=np.int64)
+    reps = np.arange(replicas, dtype=np.int64)
+    steps = np.arange(n_steps, dtype=np.int64)
+    u = uniform_array(seed, Stream.GENERIC, reps[:, None], steps[None, :], 0)
+    draws = vals[np.searchsorted(cum, u, side="right")]
+    return int((np.cumsum(draws, axis=1) >= 0).all(axis=1).sum())
+
+
+@st.composite
+def _step_laws(draw):
+    values = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=5,
+                           unique=True))
+    weights = np.array(draw(st.lists(st.integers(1, 20), min_size=len(values),
+                                     max_size=len(values))), dtype=float)
+    try:
+        return walk_spec(values, weights / weights.sum())
+    except ValueError:  # negative drift or no step >= 1
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_step_laws(),
+       n_steps=st.one_of(st.integers(1, 40), st.integers(41, 3000)),
+       replicas=st.integers(1, 300),
+       seed=st.integers(0, 2**63 - 1),
+       budget=st.sampled_from([None, 5, 64, 1000]))
+def test_rw_early_exit_matches_full_matrix(spec, n_steps, replicas, seed,
+                                           budget):
+    cap = budget or estimators._WALK_DRAW_BUDGET
+    with mock.patch.object(estimators, "_WALK_DRAW_BUDGET", cap):
+        rep = rw_nonneg_bound(spec, n_steps, replicas, seed)
+    hits = _rw_hits_full_matrix(spec, n_steps, replicas, seed)
+    assert rep.q_hat == fraction_estimate(hits, replicas)
+
+
+def test_rw_early_exit_draw_budget_and_keys(monkeypatch):
+    spec = walk_spec((-1, 1), (0.475, 0.525))
+    calls = []
+
+    def recording_uniform(seed, tag, sx, sy, index):
+        u = uniform_array(seed, tag, sx, sy, index)
+        calls.append(np.broadcast_arrays(sx, sy))
+        return u
+
+    monkeypatch.setattr(estimators, "_WALK_DRAW_BUDGET", 1000)
+    monkeypatch.setattr(estimators, "uniform_array", recording_uniform)
+    rep = rw_nonneg_bound(spec, 777, replicas=2500, seed=5)
+    assert rep.q_hat == fraction_estimate(
+        _rw_hits_full_matrix(spec, 777, 2500, 5), 2500)
+    # the first block of 1000 live walks is cut from 16 steps to 1
+    assert calls[0][0].shape == (1000, 1)
+    assert max(w.size for w, _ in calls) <= 1000
+    keys = np.concatenate([(w * 1000 + k).ravel() for w, k in calls])
+    assert np.unique(keys).size == keys.size      # no key drawn twice
+    assert keys.size < 2500 * 777                 # dead walks stop drawing
+
+
+@pytest.mark.parametrize("values,probs", [((1, 0, -1), (0.7, 0.2, 0.1)),
+                                          (tuple(range(-4, 6)), (0.1,) * 10)])
+def test_rw_step_lookup_at_largest_uniform(monkeypatch, values, probs):
+    """The probabilities sum to 1 - 2**-53, the largest uniform."""
+    spec = walk_spec(values, probs)
+    assert np.cumsum(probs)[-1] <= np.nextafter(1.0, 0.0)
+    monkeypatch.setattr(
+        estimators, "uniform_array",
+        lambda seed, tag, sx, sy, index: np.full(
+            np.broadcast(sx, sy).shape, np.nextafter(1.0, 0.0)))
+    rep = rw_nonneg_bound(spec, 20, replicas=10, seed=1)
+    # every step takes the last value of the law
+    assert rep.q_hat.estimate == (1.0 if values[-1] >= 0 else 0.0)
 
 
 # --------------------------------------------- resampling covariance, exact
