@@ -40,6 +40,13 @@ class ConfigError(Exception):
 
 _REQUIRED = object()
 
+# Bounds of "p" wherever it is the parameter of a geometric weight field
+# (bks-verify's "p" is a cube bias and keeps (0, 1)).  A weight is decoded
+# bit by bit, about 1/p keyed draws per site, so the floor caps that
+# factor at 1000.
+P_MIN = 1e-3
+_FIELD_P = dict(low=P_MIN, high=1.0, open_high=True)
+
 
 def _check_value(name, value, where, kind, low=None, high=None,
                  open_low=False, open_high=False):
@@ -116,12 +123,11 @@ class _Schema:
 
 
 def _parse_kind(raw: str, where: str) -> NoiseKind:
-    try:
-        return NoiseKind[raw.upper()]
-    except KeyError:
+    if raw.upper() not in ("BIT", "SITE"):
         raise ConfigError(
             f'invalid value for "kind" in {where}: expected BIT or SITE, '
-            f"got {raw!r}") from None
+            f"got {raw!r}")
+    return NoiseKind[raw.upper()]
 
 
 def _estimate_row(t, e):
@@ -139,7 +145,7 @@ def _estimate_dict(e):
 
 def _run_corr_decay(params, seed, base, threads, rec):
     schema = (_Schema("corr-decay")
-              .add("p", float, low=0.0, high=1.0, open_low=True, open_high=True)
+              .add("p", float, **_FIELD_P)
               .add("n", int, low=1, high=4000)
               .add("t_values", (list, float), low=0.0)
               .add("kind", str, default="BIT")
@@ -165,7 +171,7 @@ def _run_corr_decay(params, seed, base, threads, rec):
 
 def _run_variance_scaling(params, seed, base, threads, rec):
     schema = (_Schema("variance-scaling")
-              .add("p", float, low=0.0, high=1.0, open_low=True, open_high=True)
+              .add("p", float, **_FIELD_P)
               .add("n_list", (list, int), low=2, high=4000)
               .add("replicas", int, low=2)
               .add("n_boot", int, default=1000, low=10))
@@ -185,7 +191,7 @@ def _run_variance_scaling(params, seed, base, threads, rec):
 
 def _run_transversal(params, seed, base, threads, rec):
     schema = (_Schema("transversal")
-              .add("p", float, low=0.0, high=1.0, open_low=True, open_high=True)
+              .add("p", float, **_FIELD_P)
               .add("n_list", (list, int), low=2, high=4000)
               .add("replicas", int, low=2)
               .add("n_boot", int, default=1000, low=10)
@@ -210,7 +216,7 @@ def _run_transversal(params, seed, base, threads, rec):
 
 def _run_geodesic_heatmap(params, seed, base, threads, rec):
     schema = (_Schema("geodesic-heatmap")
-              .add("p", float, low=0.0, high=1.0, open_low=True, open_high=True)
+              .add("p", float, **_FIELD_P)
               .add("n", int, low=2, high=2000)
               .add("replicas", int, low=1))
     q = schema.parse(params)
@@ -234,7 +240,7 @@ def _run_geodesic_heatmap(params, seed, base, threads, rec):
 
 def _run_stationary_checks(params, seed, base, threads, rec):
     schema = (_Schema("stationary-checks")
-              .add("p", float, low=0.0, high=1.0, open_low=True, open_high=True)
+              .add("p", float, **_FIELD_P)
               .add("lam", float, low=0.0, high=1.0, open_low=True,
                    open_high=True)
               .add("rows", int, low=1, high=4000)
@@ -316,7 +322,7 @@ def _run_rw_bound(params, seed, base, threads, rec):
 
 def _run_sandwich(params, seed, base, threads, rec):
     schema = (_Schema("sandwich")
-              .add("p", float, low=0.0, high=1.0, open_low=True, open_high=True)
+              .add("p", float, **_FIELD_P)
               .add("v", (list, int), low=1)
               .add("s", float, low=0.0, open_low=True)
               .add("replicas", int, low=2))
@@ -350,7 +356,7 @@ def _run_sandwich(params, seed, base, threads, rec):
 
 def _run_noise_compare(params, seed, base, threads, rec):
     schema = (_Schema("noise-compare")
-              .add("p", float, low=0.0, high=1.0, open_low=True, open_high=True)
+              .add("p", float, **_FIELD_P)
               .add("n", int, low=2, high=4000)
               .add("t", float, low=0.0)
               .add("replicas", int, low=30))
@@ -389,7 +395,7 @@ def _run_noise_compare(params, seed, base, threads, rec):
 
 def _run_influence_map(params, seed, base, threads, rec):
     schema = (_Schema("influence-map")
-              .add("p", float, low=0.0, high=1.0, open_low=True, open_high=True)
+              .add("p", float, **_FIELD_P)
               .add("n", int, low=2, high=64)
               .add("replicas", int, low=30)
               .add("i_max", int, default=8, low=0, high=63)
@@ -448,7 +454,7 @@ def _run_bks_verify(params, seed, base, threads, rec):
 
 def _run_dump_field(params, seed, base, threads, rec):
     schema = (_Schema("dump-field")
-              .add("p", float, low=0.0, high=1.0, open_low=True, open_high=True)
+              .add("p", float, **_FIELD_P)
               .add("lo", (list, int))
               .add("hi", (list, int))
               .add("t", float, default=None, low=0.0)
@@ -465,12 +471,12 @@ def _run_dump_field(params, seed, base, threads, rec):
     if region.shape[0] * region.shape[1] > 4 * 10**6:
         raise ConfigError('invalid value for "lo"/"hi" in dump-field: '
                           "region too large to dump")
+    kind = _parse_kind(q["kind"], "dump-field")
     cfg = WeightConfig(q["p"], seed, region)
     w = weights(cfg)
     header = ["x1", "x2", "weight"]
     cols = [w]
     if q["t"] is not None:
-        kind = _parse_kind(q["kind"], "dump-field")
         cols.append(noisy_weights(NoisyPair(cfg, q["t"], kind)))
         header.append("noisy_weight")
     lo = region.lo
@@ -483,7 +489,7 @@ def _run_dump_field(params, seed, base, threads, rec):
 
 def _run_dump_geodesic(params, seed, base, threads, rec):
     schema = (_Schema("dump-geodesic")
-              .add("p", float, low=0.0, high=1.0, open_low=True, open_high=True)
+              .add("p", float, **_FIELD_P)
               .add("n", int, low=1, high=2000))
     q = schema.parse(params)
     n = q["n"]
@@ -505,7 +511,7 @@ def _run_dump_geodesic(params, seed, base, threads, rec):
 
 def _run_dump_stationary(params, seed, base, threads, rec):
     schema = (_Schema("dump-stationary")
-              .add("p", float, low=0.0, high=1.0, open_low=True, open_high=True)
+              .add("p", float, **_FIELD_P)
               .add("lam", float, low=0.0, high=1.0, open_low=True,
                    open_high=True)
               .add("rows", int, low=1, high=2000)
@@ -546,7 +552,10 @@ def _execute(name: str, params: dict, seed: int, out_dir: str, threads: int,
     rec = ExperimentRecord(name=name, params=dict(params))
     stem = (prefix + name).replace("-", "_")
     base = os.path.join(out_dir, stem)
-    summary = _RUNNERS[name](params, seed, base, threads, rec)
+    try:
+        summary = _RUNNERS[name](params, seed, base, threads, rec)
+    except ValueError as exc:  # parameters the library rejects
+        raise ConfigError(f"invalid parameters for {name}: {exc}") from None
     summary = {"name": name, "seed": seed, "params": params,
                "passed": rec.passed,
                "assertions": rec.assertions, **summary}

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats
 
 from .lattice import (NoiseKind, NoisyPair, Rect, WeightConfig, coupled_cap,
-                      coupled_fields, noisy_weights, site_bits, weights)
+                      coupled_fields, noisy_stack, site_bits, weights)
 from .lpp import backward_table, forward_table, geodesic_report, travel_time
 from .rng import Stream, derive_seed, uniform_array
 from .stationary import build_stationary
@@ -201,17 +201,13 @@ def corr_decay(p: float, n: int, t_values, kind: NoiseKind, replicas: int,
     if replicas < 30:
         raise ValueError(f"need >= 30 replicas, got {replicas}")
 
-    def one(r: int) -> tuple[float, ...]:
+    # one member per distinct time; times[0] == 0 is the base field
+    times = np.unique((0.0,) + t_values)
+    cols = np.searchsorted(times, (0.0,) + t_values)
+
+    def one(r: int) -> np.ndarray:
         cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r), _square(n))
-        base = weights(cfg)
-        t0 = travel_time(base)
-        out = [t0]
-        for t in t_values:
-            if t == 0.0:
-                out.append(t0)
-            else:
-                out.append(travel_time(noisy_weights(NoisyPair(cfg, t, kind))))
-        return tuple(out)
+        return travel_time(noisy_stack(cfg, times, kind))[cols]
 
     rows = np.array(_replica_map(one, replicas, threads), dtype=np.float64)
     ests = tuple(pearson_estimate(rows[:, 0], rows[:, 1 + k])
@@ -265,7 +261,8 @@ def variance_scaling(p: float, n_list, replicas: int, seed: int,
     """Var(T_n) against n on a log-log scale (KPZ exponent 2/3)."""
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("need at least three strictly increasing scales")
+        raise ValueError("n_list needs at least three strictly increasing "
+                         f"scales, got {list(n_list)}")
     if replicas < 2:
         raise ValueError(f"need >= 2 replicas, got {replicas}")
     samples = []
@@ -345,7 +342,8 @@ def transversal_exponent(p: float, n_list, replicas: int, seed: int,
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("need at least three strictly increasing scales")
+        raise ValueError("n_list needs at least three strictly increasing "
+                         f"scales, got {list(n_list)}")
     samples = []
     for pos, n in enumerate(n_list):
         def one(r: int, n=n, pos=pos) -> float:
@@ -792,9 +790,8 @@ def noise_comparison(p: float, n: int, t: float, replicas: int, seed: int,
     def one(r: int):
         cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r), _square(n))
         cf = coupled_fields(NoisyPair(cfg, t, NoiseKind.COUPLED, cap))
-        return (travel_time(cf.base), travel_time(cf.bit_t),
-                travel_time(cf.site_mt), travel_time(cf.base_capped),
-                travel_time(cf.bit_t_capped), travel_time(cf.site_mt_capped))
+        fields = np.stack((cf.base, cf.bit_t, cf.site_mt))
+        return travel_time(np.concatenate((fields, np.minimum(fields, cap))))
 
     rows = np.array(_replica_map(one, replicas, threads), dtype=np.float64)
     t0, tb, ts, t0c, tbc, tsc = rows.T

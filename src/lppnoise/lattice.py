@@ -21,19 +21,35 @@ Three dynamics produce a time-t partner of a field:
   the BIT dynamics is also resampled at time ``M*t`` in the site
   dynamics.  Both capped (``min(., M)``) and uncapped fields are
   exposed.
+
+Every field is decoded by one alive-set scan (``_first_hits``): round i
+draws bit i only for the sites that still have an unresolved member, and
+a site leaves the scan once each of its members has met its first one.
+A base field and all its noisy partners are members of one scan, so the
+bits and clocks they share are hashed once per site and round (common
+random numbers).  SITE partners decode the replacement field only on the
+sites whose clock rang by the largest t, and the COUPLED site clock stops
+at a site's first per-bit clock <= t.  Each stream is hashed from a
+per-site key prefix (``rng.key_prefix``), so a round absorbs only the bit
+index.  This is exact because every draw is a pure function of its key:
+the keyed hash is a chain of splitmix64 finalizers (Steele, Lea & Flood,
+OOPSLA 2014) used as a counter-based generator (Salmon et al., SC'11), so
+a skipped draw is one whose value cannot matter and the fields equal a
+decode of each member on its own, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .rng import Stream, exponential_array, uniform_array
+from .rng import Stream, bernoulli_at, exponential_at, key_prefix
 
 __all__ = [
-    "SCAN_CAP",
+    "scan_cap",
     "RngIntegrityError",
     "Rect",
     "WeightConfig",
@@ -41,15 +57,14 @@ __all__ = [
     "NoisyPair",
     "CoupledFields",
     "weights",
-    "weight_at",
     "noisy_weights",
-    "noisy_weight_at",
+    "noisy_stack",
     "coupled_fields",
     "coupled_cap",
     "site_bits",
 ]
 
-SCAN_CAP = 10 ** 6
+_SCAN_TAIL = 40 * math.log(10)   # scan_cap: unresolved w.p. <= 1e-40
 
 
 class RngIntegrityError(RuntimeError):
@@ -121,97 +136,139 @@ class NoisyPair:
                 raise ValueError("COUPLED dynamics needs a cap M >= 1")
 
 
-def _scan_first_one(n_sites: int, bit_fn) -> np.ndarray:
-    """First index i with ``bit_fn(alive_idx, i)`` true, per site.
+def scan_cap(p: float) -> int:
+    """Rounds after which a bit scan at parameter p gives up.
 
-    ``bit_fn`` receives flat site indices still unresolved and the round
-    number, and returns a boolean array.  Raises RngIntegrityError if a
-    scan exceeds SCAN_CAP rounds.
+    A site is still unresolved after c rounds with probability
+    (1-p)**c; the cap puts that below 1e-40, so only a damaged stream
+    reaches it."""
+    return math.ceil(_SCAN_TAIL / -math.log1p(-p))
+
+
+def _first_hits(n_sites: int, n_members: int, cap: int, hits) -> np.ndarray:
+    """First round i < cap at which each member hits, per site; -1 if none.
+
+    ``hits(alive, pending, i)`` gets the flat indices of the sites with a
+    member still unresolved, the (members, sites) mask of those members
+    and the round number, and returns a boolean array broadcastable to
+    the mask.  A site leaves the scan once all its members have hit, so
+    no draw is made for a site whose result is settled.
     """
-    out = np.empty(n_sites, dtype=np.int64)
+    out = np.full((n_members, n_sites), -1, dtype=np.int64)
     alive = np.arange(n_sites)
-    i = 0
-    while alive.size:
-        if i > SCAN_CAP:
-            raise RngIntegrityError(
-                f"bit scan exceeded {SCAN_CAP} rounds; keyed stream damaged")
-        hit = bit_fn(alive, i)
-        out[alive[hit]] = i
-        alive = alive[~hit]
-        i += 1
+    pending = np.ones((n_members, n_sites), dtype=bool)
+    # index arrays (flatnonzero, take), not boolean masks: numpy's masked
+    # copies branch per element and cost several times more
+    for i in range(cap):
+        if not alive.size:
+            break
+        hit = hits(alive, pending, i) & pending
+        for k in range(n_members):
+            out[k, alive[np.flatnonzero(hit[k])]] = i
+        pending ^= hit
+        keep = np.flatnonzero(pending.any(axis=0))
+        if keep.size < alive.size:
+            alive, pending = alive[keep], pending.take(keep, axis=1)
     return out
 
 
-def _base_bits(cfg: WeightConfig, sx, sy, alive, i) -> np.ndarray:
-    u = uniform_array(cfg.seed, Stream.BIT_X, sx[alive], sy[alive], i)
-    return u < cfg.p
+def _bits(prefix, alive, need, i, p) -> np.ndarray:
+    """Bit i of the alive sites, drawn only where ``need`` is set."""
+    if need.all():
+        return bernoulli_at(prefix[alive], i, p)
+    out = np.zeros(alive.size, dtype=bool)
+    at = np.flatnonzero(need)
+    out[at] = bernoulli_at(prefix[alive[at]], i, p)
+    return out
 
 
-def _replacement_bits(cfg: WeightConfig, sx, sy, alive, i) -> np.ndarray:
-    u = uniform_array(cfg.seed, Stream.BIT_XPRIME, sx[alive], sy[alive], i)
-    return u < cfg.p
+def _ring_by(t: np.ndarray) -> np.ndarray:
+    """Clock thresholds of noise times: a clock rings by time t > 0 iff
+    it is <= t, and no clock (not even one of 0) rings by time 0."""
+    return np.where(t > 0.0, t, -np.inf)
 
 
-def _bit_clocks(cfg: WeightConfig, sx, sy, alive, i) -> np.ndarray:
-    return exponential_array(cfg.seed, Stream.CLOCK_U, sx[alive], sy[alive], i)
+def _decode(seed: int, p: float, sx, sy, times=(0.0,),
+            tag: Stream = Stream.BIT_X) -> np.ndarray:
+    """Weights of one member per noise time on the sites ``(sx, sy)``.
+
+    Member k decodes the first one among the bits of the ``tag`` stream,
+    where bit i of a site is replaced by its ``BIT_XPRIME`` bit once the
+    site's i-th ``CLOCK_U`` clock is <= ``times[k]`` (never for a time
+    of 0).  All members share one scan over the union of their
+    unresolved sites, and each stream is hashed from a per-site key
+    prefix.  Returns shape ``(len(times),) + broadcast(sx, sy)``.
+    """
+    shape = np.broadcast_shapes(np.shape(sx), np.shape(sy))
+    t = np.asarray(times, dtype=np.float64)
+    ring_by = _ring_by(t)[:, None]
+    px = key_prefix(seed, tag, sx, sy).ravel()
+    if (t > 0.0).any():
+        pu = key_prefix(seed, Stream.CLOCK_U, sx, sy).ravel()
+        pr = key_prefix(seed, Stream.BIT_XPRIME, sx, sy).ravel()
+
+        def hits(alive, pending, i):
+            rung = exponential_at(pu[alive], i) <= ring_by
+            x = _bits(px, alive, (pending & ~rung).any(axis=0), i, p)
+            xr = _bits(pr, alive, (pending & rung).any(axis=0), i, p)
+            return (rung & xr) | (~rung & x)
+    else:
+        def hits(alive, pending, i):
+            return bernoulli_at(px[alive], i, p)
+
+    cap = scan_cap(p)
+    w = _first_hits(px.size, t.size, cap, hits)
+    if (w < 0).any():
+        raise RngIntegrityError(
+            f"bit scan at p={p} exceeded {cap} rounds; keyed stream damaged")
+    return w.reshape((t.size,) + shape)
+
+
+def _open_grid(region: Rect) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.arange(region.lo[0], region.hi[0] + 1, dtype=np.int64)
+    ys = np.arange(region.lo[1], region.hi[1] + 1, dtype=np.int64)
+    return xs[:, None], ys[None, :]
+
+
+def _replacement_at(cfg: WeightConfig, mask: np.ndarray) -> np.ndarray:
+    """The independent replacement field (stream ``BIT_XPRIME``) on the
+    sites of the region where ``mask`` is set, in row-major order."""
+    gx, gy = cfg.region.coord_grids()
+    return _decode(cfg.seed, cfg.p, gx[mask], gy[mask],
+                   tag=Stream.BIT_XPRIME)[0]
 
 
 def weights(cfg: WeightConfig) -> np.ndarray:
     """The full weight array of the region, decoded from the bit streams."""
-    gx, gy = cfg.region.coord_grids()
-    sx, sy = gx.ravel(), gy.ravel()
-    w = _scan_first_one(sx.size, lambda alive, i: _base_bits(cfg, sx, sy, alive, i))
-    return w.reshape(cfg.region.shape)
+    return _decode(cfg.seed, cfg.p, *_open_grid(cfg.region))[0]
 
 
-def weight_at(cfg: WeightConfig, v: tuple[int, int]) -> int:
-    """Weight of a single site (regenerated, never stored)."""
-    if not cfg.region.contains(v):
-        raise ValueError(f"site {v} outside region {cfg.region}")
-    one = WeightConfig(cfg.p, cfg.seed, Rect(v, v))
-    return int(weights(one)[0, 0])
+def noisy_stack(cfg: WeightConfig, t_values, kind: NoiseKind) -> np.ndarray:
+    """The time-t partners of one field for every t, from one decode.
 
-
-def _bit_member(pair: NoisyPair) -> np.ndarray:
-    """Weights read from the bit-resampled streams at time t."""
-    cfg = pair.base
-    gx, gy = cfg.region.coord_grids()
-    sx, sy = gx.ravel(), gy.ravel()
-    t = pair.t
-    if t == 0.0:
-        bit_fn = lambda alive, i: _base_bits(cfg, sx, sy, alive, i)
-    else:
-        def bit_fn(alive, i):
-            rung = _bit_clocks(cfg, sx, sy, alive, i) <= t
-            bits = _base_bits(cfg, sx, sy, alive, i)
-            if rung.any():
-                repl = _replacement_bits(cfg, sx, sy, alive, i)
-                bits = np.where(rung, repl, bits)
-            return bits
-    w = _scan_first_one(sx.size, bit_fn)
-    return w.reshape(cfg.region.shape)
-
-
-def _replacement_weights(cfg: WeightConfig) -> np.ndarray:
-    """Independent geometric field decoded from the replacement stream."""
-    gx, gy = cfg.region.coord_grids()
-    sx, sy = gx.ravel(), gy.ravel()
-    w = _scan_first_one(sx.size,
-                        lambda alive, i: _replacement_bits(cfg, sx, sy, alive, i))
-    return w.reshape(cfg.region.shape)
-
-
-def _site_member(pair: NoisyPair) -> np.ndarray:
-    """Whole-site resampling with one Exp(1) clock per site."""
-    cfg = pair.base
-    base = weights(cfg)
-    if pair.t == 0.0:
-        return base
-    gx, gy = cfg.region.coord_grids()
-    rung = exponential_array(cfg.seed, Stream.SITE_CLOCK, gx, gy, 0) <= pair.t
-    if not rung.any():
-        return base
-    return np.where(rung, _replacement_weights(cfg), base)
+    Returns a ``(len(t_values), n1, n2)`` array whose k-th member is the
+    ``kind`` partner at ``t_values[k]`` (the field itself where t = 0),
+    equal to ``noisy_weights(NoisyPair(cfg, t_values[k], kind))``.  BIT
+    partners share one scan; SITE partners share the base field and
+    decode the replacement field only where a site clock rang by the
+    largest t.
+    """
+    t = np.asarray(t_values, dtype=np.float64)
+    if t.ndim != 1 or (t < 0.0).any():
+        raise ValueError(f"noise times must be a list of values >= 0, "
+                         f"got {t_values}")
+    if kind is NoiseKind.BIT:
+        return _decode(cfg.seed, cfg.p, *_open_grid(cfg.region), t)
+    if kind is not NoiseKind.SITE:
+        raise ValueError("noisy_stack needs BIT or SITE; use coupled_fields")
+    grid = _open_grid(cfg.region)
+    base = _decode(cfg.seed, cfg.p, *grid)[0]
+    clock = exponential_at(key_prefix(cfg.seed, Stream.SITE_CLOCK, *grid), 0)
+    rung = clock <= _ring_by(t)[:, None, None]
+    swapped = rung.any(axis=0)
+    repl = base.copy()
+    repl[swapped] = _replacement_at(cfg, swapped)
+    return np.where(rung, repl, base)
 
 
 @dataclass(frozen=True)
@@ -245,38 +302,27 @@ def coupled_fields(pair: NoisyPair) -> CoupledFields:
     if pair.kind is not NoiseKind.COUPLED:
         raise ValueError("coupled_fields needs a COUPLED pair")
     cfg, t, m = pair.base, pair.t, int(pair.cap)
-    base = weights(cfg)
-    bit_t = _bit_member(NoisyPair(cfg, t, NoiseKind.BIT))
+    grid = _open_grid(cfg.region)
+    base, bit_t = _decode(cfg.seed, cfg.p, *grid, (0.0, t))
     if t == 0.0:
         return CoupledFields(base, bit_t, base.copy(), m)
-    gx, gy = cfg.region.coord_grids()
-    # min over the first M per-bit clocks; U~ <= M*t iff the min <= t
-    umin = exponential_array(cfg.seed, Stream.CLOCK_U, gx, gy, 0)
-    for i in range(1, m):
-        np.minimum(umin,
-                   exponential_array(cfg.seed, Stream.CLOCK_U, gx, gy, i),
-                   out=umin)
-    rung = umin <= t
-    site_mt = np.where(rung, _replacement_weights(cfg), base)
+    # U~ <= M*t iff one of the first M per-bit clocks is <= t; a site's
+    # clocks are read only up to the first such one
+    pu = key_prefix(cfg.seed, Stream.CLOCK_U, *grid).ravel()
+    first = _first_hits(pu.size, 1, m,
+                        lambda alive, pending, i:
+                        exponential_at(pu[alive], i) <= t)
+    rung = (first[0] >= 0).reshape(base.shape)
+    site_mt = base.copy()
+    site_mt[rung] = _replacement_at(cfg, rung)
     return CoupledFields(base, bit_t, site_mt, m)
 
 
 def noisy_weights(pair: NoisyPair) -> np.ndarray:
     """Time-t partner field; for COUPLED, the site member at time M*t."""
-    if pair.kind is NoiseKind.BIT:
-        return _bit_member(pair)
-    if pair.kind is NoiseKind.SITE:
-        return _site_member(pair)
-    return coupled_fields(pair).site_mt
-
-
-def noisy_weight_at(pair: NoisyPair, v: tuple[int, int]) -> int:
-    """Noisy weight of a single site."""
-    if not pair.base.region.contains(v):
-        raise ValueError(f"site {v} outside region {pair.base.region}")
-    one = NoisyPair(WeightConfig(pair.base.p, pair.base.seed, Rect(v, v)),
-                    pair.t, pair.kind, pair.cap)
-    return int(noisy_weights(one)[0, 0])
+    if pair.kind is NoiseKind.COUPLED:
+        return coupled_fields(pair).site_mt
+    return noisy_stack(pair.base, (pair.t,), pair.kind)[0]
 
 
 def coupled_cap(n: int, p: float) -> int:
@@ -291,5 +337,5 @@ def coupled_cap(n: int, p: float) -> int:
 def site_bits(cfg: WeightConfig, v: tuple[int, int], count: int) -> np.ndarray:
     """First ``count`` encoding bits of one site (for bit-level surgery)."""
     idx = np.arange(count, dtype=np.int64)
-    u = uniform_array(cfg.seed, Stream.BIT_X, v[0], v[1], idx)
-    return u < cfg.p
+    return bernoulli_at(key_prefix(cfg.seed, Stream.BIT_X, v[0], v[1]), idx,
+                        cfg.p)

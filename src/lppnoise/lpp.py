@@ -7,8 +7,10 @@ along e2.  The travel time from corner to corner is
     T = max over up/right paths of the path's weight sum,
 
 computed by the recursion ``F[i,j] = w[i,j] + max(F[i-1,j], F[i,j-1])``.
-Columns are filled with a prefix-maximum identity so the quadratic table
-costs O(area) vector operations instead of a Python-level double loop.
+Rows (contiguous in memory) are filled with a prefix-maximum identity,
+so the quadratic table costs O(area) vector work in O(rows) ufunc calls
+instead of a Python-level double loop; ``travel_time`` runs it over a
+whole stack of fields at once.
 
 ``geodesic_report`` returns the exact geodesic set (as a vertex mask)
 plus the upmost and downmost geodesics extracted greedily from the
@@ -35,29 +37,49 @@ __all__ = [
 
 # Full-table analytics guard; travel_time itself streams rows and has no cap.
 MAX_TABLE_SIDE = 4001
+_ROW_BLOCK = 64   # rows whose prefix sums _table_rows takes in one call
 
 
-def _check_weights(w: np.ndarray) -> np.ndarray:
+def _check_weights(w: np.ndarray, stack: bool = False) -> np.ndarray:
     w = np.asarray(w)
-    if w.ndim != 2 or w.size == 0:
-        raise ValueError(f"weight array must be 2-D and nonempty, got shape {w.shape}")
+    if w.ndim not in ((2, 3) if stack else (2,)) or w.size == 0:
+        want = "2-D or a 3-D stack" if stack else "2-D"
+        raise ValueError(f"weight array must be {want} and nonempty, "
+                         f"got shape {w.shape}")
     return w.astype(np.int64, copy=False)
 
 
-def _next_column(prev: np.ndarray, col: np.ndarray) -> np.ndarray:
-    # c[i] = col[i] + max(prev[i], c[i-1]); unrolled to a prefix maximum:
-    # c[i] = S[i] + max_{k<=i} (prev[k] - S[k-1]) with S the cumsum of col.
-    s = np.cumsum(col)
-    return s + np.maximum.accumulate(prev - (s - col))
+def _table_rows(w: np.ndarray):
+    """Yield the rows F[..., i, :] of the forward table in turn, as one
+    array updated in place; a stack of fields advances together.
+
+    Row i follows from row i-1 by unrolling c[j] = w[i,j] + max(F[i-1,j],
+    c[j-1]) to the prefix maximum c[j] = S[j] + max_{k<=j} (F[i-1,k] -
+    E[k]), with S and E the inclusive and exclusive cumsums of row i.
+    They are taken for blocks of _ROW_BLOCK rows at once, which keeps
+    memory at O(width) per field and leaves three ufunc calls per row.
+    """
+    cur = None
+    for lo in range(0, w.shape[-2], _ROW_BLOCK):
+        rows = w[..., lo:lo + _ROW_BLOCK, :]
+        s = np.cumsum(rows, axis=-1)
+        e = s - rows
+        for i in range(rows.shape[-2]):
+            if cur is None:
+                cur = s[..., 0, :].copy()
+            else:
+                cur -= e[..., i, :]
+                np.maximum.accumulate(cur, axis=-1, out=cur)
+                cur += s[..., i, :]
+            yield cur
 
 
 def forward_table(w: np.ndarray) -> np.ndarray:
     """F[i,j] = travel time from (0,0) to (i,j)."""
     w = _check_weights(w)
     f = np.empty_like(w)
-    f[:, 0] = np.cumsum(w[:, 0])
-    for j in range(1, w.shape[1]):
-        f[:, j] = _next_column(f[:, j - 1], w[:, j])
+    for i, row in enumerate(_table_rows(w)):
+        f[i] = row
     return f
 
 
@@ -67,13 +89,16 @@ def backward_table(w: np.ndarray) -> np.ndarray:
     return forward_table(w[::-1, ::-1])[::-1, ::-1]
 
 
-def travel_time(w: np.ndarray) -> int:
-    """Corner-to-corner travel time with O(width) memory."""
-    w = _check_weights(w)
-    cur = np.cumsum(w[:, 0])
-    for j in range(1, w.shape[1]):
-        cur = _next_column(cur, w[:, j])
-    return int(cur[-1])
+def travel_time(w: np.ndarray):
+    """Corner-to-corner travel time with O(width) memory.
+
+    A ``(K, n1, n2)`` stack gives its K travel times as an int64 array,
+    from one pass of the recursion over all K fields; each step reads
+    one contiguous row of every field."""
+    w = _check_weights(w, stack=True)
+    for row in _table_rows(w):
+        pass
+    return int(row[-1]) if w.ndim == 2 else row[:, -1].copy()
 
 
 @dataclass(frozen=True)

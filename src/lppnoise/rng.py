@@ -10,10 +10,17 @@ The key is hashed into 64 bits with a splitmix64-style chain (one
 finalizer round per absorbed field), which is a counter-based PRF of
 adequate statistical quality for Monte Carlo work.  Uniform variates
 keep the full 53-bit double resolution.
+
+The chain absorbs ``index`` last, so the state after ``(seed, tag, x,
+y)`` is a per-site *key prefix* (``key_prefix``): a scan over the
+indices of one site hashes the prefix once and then needs one finalizer
+round per draw (``uniform_at``, ``exponential_at``, ``bernoulli_at``),
+with the same values as the full key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -29,6 +36,10 @@ __all__ = [
     "exponential_array",
     "geometric_array",
     "derive_seed",
+    "key_prefix",
+    "uniform_at",
+    "exponential_at",
+    "bernoulli_at",
 ]
 
 _U64 = np.uint64
@@ -78,13 +89,14 @@ class RngKey:
     stream_tag: Stream
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; uint64 arithmetic wraps mod 2**64.
-    z = z ^ (z >> _U64(30))
-    z = z * _U64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> _U64(27))
-    z = z * _U64(0x94D049BB133111EB)
-    z = z ^ (z >> _U64(31))
+def _mix(z):
+    # splitmix64 finalizer; uint64 arithmetic wraps mod 2**64.  Mixes an
+    # array argument in place, so callers pass a fresh array.
+    z ^= z >> _U64(30)
+    z *= _U64(0xBF58476D1CE4E5B9)
+    z ^= z >> _U64(27)
+    z *= _U64(0x94D049BB133111EB)
+    z ^= z >> _U64(31)
     return z
 
 
@@ -93,26 +105,66 @@ def _as_u64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.int64).astype(np.uint64)
 
 
-def _hash_key(seed: int, tag: int, sx, sy, index) -> np.ndarray:
-    """Vectorized keyed hash; broadcasts sx, sy, index."""
+def key_prefix(seed: int, tag: Stream, sx, sy) -> np.ndarray:
+    """Hash state after absorbing ``(seed, tag, sx, sy)``; broadcasts sx, sy.
+
+    Open grids (``xs[:, None]``, ``ys[None, :]``) absorb each x once."""
     with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        h = _mix(_U64((seed + _GOLDEN * (tag + 1)) & _MASK64))
+        h = _mix(_U64((int(seed) + _GOLDEN * (int(tag) + 1)) & _MASK64))
         h = _mix(h ^ (_as_u64(sx) * _U64(_MUL_A)))
         h = _mix(h ^ (_as_u64(sy) * _U64(_MUL_B)))
-        h = _mix(h ^ (_as_u64(index) * _U64(_GOLDEN)))
     return h
+
+
+def _absorb(prefix, index) -> np.ndarray:
+    """The full keyed hash: absorb ``index`` into a key prefix."""
+    with np.errstate(over="ignore"):
+        return _mix(prefix ^ (_as_u64(index) * _U64(_GOLDEN)))
+
+
+def _hash_key(seed: int, tag: int, sx, sy, index) -> np.ndarray:
+    """Vectorized keyed hash; broadcasts sx, sy, index."""
+    return _absorb(key_prefix(seed, tag, sx, sy), index)
+
+
+def _unit(h) -> np.ndarray:
+    # top 53 bits as a double in [0, 1); shifts a fresh array in place
+    h >>= _U64(11)
+    return h * (2.0 ** -53)
+
+
+def uniform_at(prefix, index) -> np.ndarray:
+    """Uniform[0, 1) variates of the keys ``prefix`` + ``index``."""
+    return _unit(_absorb(prefix, index))
+
+
+def exponential_at(prefix, index) -> np.ndarray:
+    """Exp(1) variates ``-log(1 - U)`` of the keys ``prefix`` + ``index``."""
+    return -np.log1p(-uniform_at(prefix, index))
+
+
+def _below(h, p: float) -> np.ndarray:
+    """``(h >> 11) * 2**-53 < p`` without the float conversion.
+
+    With k = h >> 11 the uniform is k * 2**-53 exactly, so it is < p iff
+    k < p * 2**53 iff k < c = ceil(p * 2**53) (k is an integer and
+    p * 2**53 is exact) iff h < c << 11; c << 11 < 2**64 for p < 1."""
+    return h < _U64(math.ceil(p * 2.0 ** 53) << 11)
+
+
+def bernoulli_at(prefix, index, p: float) -> np.ndarray:
+    """Bits ``uniform_at(prefix, index) < p``."""
+    return _below(_absorb(prefix, index), p)
 
 
 def uniform_array(seed: int, tag: Stream, sx, sy, index) -> np.ndarray:
     """Uniform[0, 1) variates for the broadcast key arrays."""
-    h = _hash_key(int(seed), int(tag), sx, sy, index)
-    return (h >> _U64(11)) * (2.0 ** -53)
+    return _unit(_hash_key(seed, tag, sx, sy, index))
 
 
 def exponential_array(seed: int, tag: Stream, sx, sy, index) -> np.ndarray:
     """Exp(1) variates, ``-log(1 - U)``."""
-    u = uniform_array(seed, tag, sx, sy, index)
-    return -np.log1p(-u)
+    return exponential_at(key_prefix(seed, tag, sx, sy), index)
 
 
 def geometric_array(seed: int, tag: Stream, sx, sy, index, p: float) -> np.ndarray:

@@ -235,6 +235,43 @@ def test_run_rejects_non_finite_float(tmp_path, name, params, field):
     assert f'invalid value for "{field}" in {name}: must be finite' in res.output
 
 
+def _run_one(tmp_path, name, params):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(
+        {"seed": 1, "output_dir": str(tmp_path / "out"),
+         "experiments": [{"name": name, "params": params}]}))
+    return _invoke(["run", "--config", str(cfg)])
+
+
+def test_run_reports_library_value_error_as_config_error(tmp_path):
+    res = _run_one(tmp_path, "variance-scaling",
+                   {"p": 0.5, "n_list": [16, 8], "replicas": 2})
+    assert res.exit_code == 1
+    assert ("configuration error: invalid parameters for variance-scaling: "
+            "n_list needs at least three strictly increasing scales, "
+            "got [16, 8]") in res.output
+
+
+@pytest.mark.parametrize("name,params", [
+    ("corr-decay", {"p": 0.5, "n": 8, "t_values": [0.5], "replicas": 30}),
+    ("dump-field", {"p": 0.5, "lo": [0, 0], "hi": [2, 2], "t": 0.5}),
+])
+@pytest.mark.parametrize("kind", ["COUPLED", "coupled"])
+def test_run_rejects_coupled_kind(tmp_path, name, params, kind):
+    res = _run_one(tmp_path, name, {**params, "kind": kind})
+    assert res.exit_code == 1
+    assert (f'invalid value for "kind" in {name}: expected BIT or SITE, '
+            f"got {kind!r}") in res.output
+
+
+def test_run_rejects_p_below_floor(tmp_path):
+    res = _run_one(tmp_path, "corr-decay",
+                   {"p": 1e-7, "n": 8, "t_values": [0.5], "replicas": 30})
+    assert res.exit_code == 1
+    assert ('invalid value for "p" in corr-decay: must be >= 0.001'
+            in res.output)
+
+
 def test_run_missing_config_file(tmp_path):
     res = CliRunner().invoke(main, ["run", "--config",
                                     str(tmp_path / "absent.json")])

@@ -1,17 +1,22 @@
 """Weight fields and resampling dynamics against stream-level oracles.
 
 The oracles below regenerate every bit, clock and replacement bit
-directly from the public keyed-rng API and decode weights with plain
-Python loops, so they share no code path with the vectorized scans.
+directly from the full-key rng API (``uniform_array``,
+``exponential_array``) and decode weights with plain Python loops or
+one member at a time, so they share no code path with the fused,
+prefix-hashed scan.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lppnoise import lattice
 from lppnoise.lattice import (CoupledFields, NoiseKind, NoisyPair, Rect,
-                              WeightConfig, coupled_cap, coupled_fields,
-                              noisy_weight_at, noisy_weights, site_bits,
-                              weight_at, weights)
+                              RngIntegrityError, WeightConfig, coupled_cap,
+                              coupled_fields, noisy_stack, noisy_weights,
+                              scan_cap, site_bits, weights)
 from lppnoise.rng import Stream, exponential_array, uniform_array
 
 
@@ -55,12 +60,13 @@ def test_weights_depend_on_absolute_coordinates_only():
     assert np.array_equal(sub, big[3:7, 4:9])
 
 
-def test_weight_at_matches_weights():
+def test_single_site_field_matches_weights():
     cfg = _cfg((0, 0), (5, 5), seed=21)
     w = weights(cfg)
-    assert weight_at(cfg, (2, 3)) == w[2, 3]
+    one = weights(_cfg((2, 3), (2, 3), seed=21))
+    assert one.shape == (1, 1) and one[0, 0] == w[2, 3]
     with pytest.raises(ValueError):
-        weight_at(cfg, (6, 0))
+        Rect((6, 0), (5, 0))
 
 
 def test_weight_marginal_is_geometric():
@@ -110,11 +116,12 @@ def test_site_dynamics_match_bitwise_oracle(t):
                                               NoiseKind.SITE)
 
 
-def test_noisy_weight_at_matches_field():
+def test_single_site_noisy_field_matches_field():
     cfg = _cfg((0, 0), (6, 6), seed=81)
-    pair = NoisyPair(cfg, 0.7, NoiseKind.BIT)
-    full = noisy_weights(pair)
-    assert noisy_weight_at(pair, (2, 5)) == full[2, 5]
+    full = noisy_weights(NoisyPair(cfg, 0.7, NoiseKind.BIT))
+    one = noisy_weights(NoisyPair(_cfg((2, 5), (2, 5), seed=81), 0.7,
+                                  NoiseKind.BIT))
+    assert one.shape == (1, 1) and one[0, 0] == full[2, 5]
 
 
 def test_noisy_marginal_is_preserved():
@@ -205,3 +212,149 @@ def test_rect_helpers():
     assert r.contains((0, 3)) and not r.contains((4, 3))
     gx, gy = r.coord_grids()
     assert gx[0, 0] == -1 and gy[0, 0] == 2 and gx[-1, -1] == 3 and gy[-1, -1] == 4
+
+
+# ------------------------------------------------- fused scan vs one member
+
+def _scan_one_member(n_sites, bit_fn):
+    """First index i with ``bit_fn(alive, i)`` true, per site."""
+    out = np.empty(n_sites, dtype=np.int64)
+    alive = np.arange(n_sites)
+    i = 0
+    while alive.size:
+        hit = bit_fn(alive, i)
+        out[alive[hit]] = i
+        alive = alive[~hit]
+        i += 1
+    return out
+
+
+def _member_reference(cfg, t, kind, cap=None):
+    """One partner field decoded on its own from full keys: the BIT, SITE
+    or COUPLED (site member at M t) dynamics as stated in the module."""
+    gx, gy = cfg.region.coord_grids()
+    sx, sy = gx.ravel(), gy.ravel()
+
+    def bits(tag, alive, i):
+        return uniform_array(cfg.seed, tag, sx[alive], sy[alive], i) < cfg.p
+
+    def field(tag):
+        return _scan_one_member(sx.size, lambda a, i: bits(tag, a, i))
+
+    if t == 0.0:
+        w = field(Stream.BIT_X)
+    elif kind is NoiseKind.BIT:
+        def noisy_bits(a, i):
+            rung = exponential_array(cfg.seed, Stream.CLOCK_U, sx[a], sy[a],
+                                     i) <= t
+            return np.where(rung, bits(Stream.BIT_XPRIME, a, i),
+                            bits(Stream.BIT_X, a, i))
+        w = _scan_one_member(sx.size, noisy_bits)
+    else:
+        if kind is NoiseKind.SITE:
+            clock = exponential_array(cfg.seed, Stream.SITE_CLOCK, sx, sy, 0)
+        else:
+            clock = np.min([exponential_array(cfg.seed, Stream.CLOCK_U, sx, sy,
+                                              i) for i in range(cap)], axis=0)
+        w = np.where(clock <= t, field(Stream.BIT_XPRIME), field(Stream.BIT_X))
+    return w.reshape(cfg.region.shape)
+
+
+_regions = st.tuples(st.integers(-40, 40), st.integers(-40, 40),
+                     st.integers(1, 9), st.integers(1, 9))
+_ps = st.sampled_from([0.08, 0.3, 0.5, 0.77, 0.95])
+_seeds = st.integers(0, 2 ** 64 - 1)
+_times = st.lists(st.one_of(st.sampled_from([0.0, 0.0, 0.3, 1.0]),
+                            st.floats(0.0, 6.0)), min_size=1, max_size=5)
+
+
+def _cfg_of(region, p, seed):
+    x, y, a, b = region
+    return WeightConfig(p, seed, Rect((x, y), (x + a - 1, y + b - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(region=_regions, p=_ps, seed=_seeds, times=_times,
+       kind=st.sampled_from([NoiseKind.BIT, NoiseKind.SITE]))
+def test_fused_stack_matches_one_member_at_a_time(region, p, seed, times,
+                                                   kind):
+    cfg = _cfg_of(region, p, seed)
+    stack = noisy_stack(cfg, times, kind)
+    assert stack.shape == (len(times),) + cfg.region.shape
+    for k, t in enumerate(times):
+        ref = _member_reference(cfg, t, kind)
+        assert np.array_equal(stack[k], ref)
+        assert np.array_equal(noisy_weights(NoisyPair(cfg, t, kind)), ref)
+    assert np.array_equal(weights(cfg), _member_reference(cfg, 0.0, kind))
+
+
+@settings(max_examples=40, deadline=None)
+@given(region=_regions, p=_ps, seed=_seeds, cap=st.integers(1, 40),
+       t=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_coupled_fields_match_one_member_at_a_time(region, p, seed, cap, t):
+    cfg = _cfg_of(region, p, seed)
+    cf = coupled_fields(NoisyPair(cfg, t, NoiseKind.COUPLED, cap))
+    assert np.array_equal(cf.base, _member_reference(cfg, 0.0, NoiseKind.BIT))
+    assert np.array_equal(cf.bit_t, _member_reference(cfg, t, NoiseKind.BIT))
+    assert np.array_equal(cf.site_mt,
+                          _member_reference(cfg, t, NoiseKind.COUPLED, cap))
+
+
+@settings(max_examples=40, deadline=None)
+@given(region=_regions, p=_ps, seed=_seeds, t=st.floats(0.0, 3.0),
+       corner=st.tuples(st.integers(0, 8), st.integers(0, 8),
+                        st.integers(1, 9), st.integers(1, 9)))
+def test_sub_rectangle_field_is_a_slice(region, p, seed, t, corner):
+    cfg = _cfg_of(region, p, seed)
+    n1, n2 = cfg.region.shape
+    i0, j0 = min(corner[0], n1 - 1), min(corner[1], n2 - 1)
+    i1, j1 = min(i0 + corner[2], n1), min(j0 + corner[3], n2)
+    lo = (cfg.region.lo[0] + i0, cfg.region.lo[1] + j0)
+    sub = WeightConfig(p, seed, Rect(lo, (lo[0] + i1 - i0 - 1,
+                                          lo[1] + j1 - j0 - 1)))
+    cut = np.s_[i0:i1, j0:j1]
+    assert np.array_equal(weights(sub), weights(cfg)[cut])
+    for kind in (NoiseKind.BIT, NoiseKind.SITE):
+        assert np.array_equal(noisy_weights(NoisyPair(sub, t, kind)),
+                              noisy_weights(NoisyPair(cfg, t, kind))[cut])
+    big = coupled_fields(NoisyPair(cfg, t / 4, NoiseKind.COUPLED, 7))
+    small = coupled_fields(NoisyPair(sub, t / 4, NoiseKind.COUPLED, 7))
+    for name in ("base", "bit_t", "site_mt"):
+        assert np.array_equal(getattr(small, name), getattr(big, name)[cut])
+
+
+def test_scan_draws_each_bit_once_and_stops_at_the_first_one(monkeypatch):
+    # a weight w needs bits 0..w of its site: exactly w + 1 draws
+    drawn = []
+    real = lattice.bernoulli_at
+
+    def counting(prefix, index, p):
+        drawn.append(np.size(prefix))
+        return real(prefix, index, p)
+
+    monkeypatch.setattr(lattice, "bernoulli_at", counting)
+    w = weights(_cfg((-3, -3), (20, 20), p=0.3, seed=5))
+    assert sum(drawn) == (w + 1).sum()
+
+
+def test_scan_cap_depends_on_p_and_a_broken_stream_is_caught(monkeypatch):
+    for p in (0.001, 0.3, 0.5, 0.99):
+        cap = scan_cap(p)
+        assert (1 - p) ** cap <= 1e-40 < (1 - p) ** (cap - 1)
+    assert scan_cap(0.001) > 10 ** 4 > scan_cap(0.5)
+    # a small p decodes (the old fixed cap only held for moderate p) ...
+    w = weights(_cfg((0, 0), (3, 3), p=0.001, seed=3))
+    assert w.min() >= 0 and w.mean() > 50
+    # ... and a stream with no ones hits the cap
+    monkeypatch.setattr(lattice, "bernoulli_at", lambda prefix, index, p:
+                        np.zeros(np.shape(prefix), dtype=bool))
+    with pytest.raises(RngIntegrityError):
+        weights(_cfg((0, 0), (2, 2), p=0.9))
+
+
+def test_noisy_stack_rejects_coupled_and_negative_times():
+    cfg = _cfg((0, 0), (3, 3))
+    with pytest.raises(ValueError):
+        noisy_stack(cfg, (0.5,), NoiseKind.COUPLED)
+    with pytest.raises(ValueError):
+        noisy_stack(cfg, (0.5, -0.1), NoiseKind.BIT)

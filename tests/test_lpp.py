@@ -4,10 +4,16 @@ The enumeration oracles in conftest walk every monotone path, so all
 assertions on values, masks and extreme geodesics here are exact.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import brute_geodesics, brute_travel
+from lppnoise import lpp
 from lppnoise.lpp import (MAX_TABLE_SIDE, backward_table, forward_table,
                           geodesic_report, increment_profile, path_above,
                           travel_time)
@@ -33,6 +39,32 @@ def _python_forward(w):
 def test_travel_time_matches_enumeration(small_fields):
     for w in small_fields:
         assert travel_time(w) == brute_travel(w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack=st.tuples(st.integers(1, 4), st.integers(1, 5),
+                       st.integers(1, 5)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=st.integers(0, 40))),
+       transpose=st.booleans(), block=st.integers(1, 6))
+def test_stacked_travel_time_matches_each_field(stack, transpose, block):
+    if transpose:   # a non-contiguous stack reads rows with a stride
+        stack = stack.transpose(0, 2, 1)
+    with mock.patch.object(lpp, "_ROW_BLOCK", block):  # cross row blocks
+        tt = travel_time(stack)
+        assert tt.dtype == np.int64 and tt.shape == (stack.shape[0],)
+        for k, w in enumerate(stack):
+            assert tt[k] == travel_time(w) == brute_travel(w)
+            assert np.array_equal(forward_table(w), _python_forward(w))
+
+
+def test_tables_span_several_row_blocks():
+    rng = np.random.default_rng(7)
+    w = rng.integers(0, 9, size=(2 * lpp._ROW_BLOCK + 3, 6))
+    f = _python_forward(w)
+    assert np.array_equal(forward_table(w), f)
+    assert travel_time(w) == f[-1, -1]
+    assert np.array_equal(travel_time(np.stack([w, w[::-1]])),
+                          [f[-1, -1], _python_forward(w[::-1])[-1, -1]])
 
 
 def test_forward_table_matches_python_dp(small_fields):

@@ -2,10 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lppnoise.rng import (RngKey, Stream, bernoulli, derive_seed,
-                          exponential1, exponential_array, geometric_array,
-                          uniform01, uniform_array)
+from lppnoise import rng
+from lppnoise.rng import (RngKey, Stream, bernoulli, bernoulli_at,
+                          derive_seed, exponential1, exponential_array,
+                          exponential_at, geometric_array, key_prefix,
+                          uniform01, uniform_array, uniform_at)
+
+_M64 = (1 << 64) - 1
+
+
+def _mix_py(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
+    return z ^ (z >> 31)
+
+
+def _hash_py(seed, tag, x, y, index):
+    """The keyed hash in plain Python integers: one splitmix64 finalizer
+    per absorbed field, ``index`` last."""
+    h = _mix_py((seed + 0x9E3779B97F4A7C15 * (tag + 1)) & _M64)
+    h = _mix_py(h ^ ((x & _M64) * 0xD6E8FEB86659FD93 & _M64))
+    h = _mix_py(h ^ ((y & _M64) * 0xA3AAC6CB67C5E0ED & _M64))
+    return _mix_py(h ^ ((index & _M64) * 0x9E3779B97F4A7C15 & _M64))
 
 
 def test_uniform_array_is_deterministic():
@@ -103,3 +124,51 @@ def test_streams_are_pairwise_decorrelated():
         for j in range(i + 1, len(tags)):
             r = np.corrcoef(draws[i], draws[j])[0, 1]
             assert abs(r) < 0.02
+
+
+def test_hash_known_answers():
+    # values of the released hash chain; any change breaks every CSV
+    assert derive_seed(3, Stream.REPLICA, 5) == 10496482278734730995
+    assert int(rng._hash_key(7, int(Stream.BIT_X), -4, 9, 12)) == \
+        12018293195108961457
+    assert int(rng._hash_key(2 ** 64 - 1, int(Stream.CLOCK_U), 2 ** 40,
+                             -2 ** 40, 10 ** 6)) == 12966017618018683696
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), tag=st.sampled_from(list(Stream)),
+       x=st.integers(-2 ** 40, 2 ** 40), y=st.integers(-2 ** 40, 2 ** 40),
+       index=st.integers(0, 10 ** 7))
+def test_prefix_then_index_equals_full_key(seed, tag, x, y, index):
+    prefix = key_prefix(seed, tag, x, y)
+    h = _hash_py(seed, int(tag), x, y, index)
+    assert int(rng._absorb(prefix, index)) == h
+    u = uniform_at(prefix, index)
+    assert u == (h >> 11) * 2.0 ** -53 == uniform_array(seed, tag, x, y, index)
+    assert exponential_at(prefix, index) == \
+        exponential_array(seed, tag, x, y, index)
+
+
+def test_open_grid_prefix_matches_pointwise_keys():
+    xs, ys = np.arange(-3, 4)[:, None], np.arange(5, 9)[None, :]
+    prefix = key_prefix(11, Stream.BIT_X, xs, ys)
+    assert prefix.shape == (7, 4)
+    for i in range(3):
+        assert np.array_equal(uniform_at(prefix, i),
+                              uniform_array(11, Stream.BIT_X, xs, ys, i))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.one_of(st.floats(1e-300, 1.0, exclude_max=True),
+                   st.sampled_from([0.5, 0.1, 1 - 2 ** -53, 2 ** -53, 1e-3])),
+       offset=st.integers(-3, 3), seed=st.integers(0, 2 ** 64 - 1))
+def test_bernoulli_at_equals_uniform_below_p(p, offset, seed):
+    # random keys, plus hashes placed right at the cut c << 11
+    prefix = key_prefix(seed, Stream.BIT_X, np.arange(64), 0)
+    assert np.array_equal(bernoulli_at(prefix, 3, p),
+                          uniform_at(prefix, 3) < p)
+    cut = int(np.ceil(p * 2.0 ** 53)) << 11
+    h = np.array([min(max(cut + offset * 2048 + r, 0), _M64)
+                  for r in (-1, 0, 1, 2047)], dtype=np.uint64)
+    assert np.array_equal(rng._below(h, p),
+                          (h >> np.uint64(11)) * 2.0 ** -53 < p)
