@@ -46,6 +46,11 @@ _REQUIRED = object()
 # factor at 1000.
 P_MIN = 1e-3
 _FIELD_P = dict(low=P_MIN, high=1.0, open_high=True)
+_INT64 = 2 ** 63
+# Lattice coordinates keep a margin to the int64 limit for the corner
+# arithmetic; |step| and the step count keep every walk position in int64.
+_COORD = dict(low=-2 ** 62, high=2 ** 62)
+_WALK_MAX = 2 ** 31
 
 
 def _check_value(name, value, where, kind, low=None, high=None,
@@ -62,6 +67,10 @@ def _check_value(name, value, where, kind, low=None, high=None,
         raise ConfigError(
             f'invalid value for "{name}" in {where}: must be finite, '
             f"got {value}")
+    if kind is int and not -_INT64 <= value < _INT64:
+        raise ConfigError(
+            f'invalid value for "{name}" in {where}: must fit in a signed '
+            f"64-bit integer, got {float(value):.6g}")
     if low is not None and (value <= low if open_low else value < low):
         cmp = ">" if open_low else ">="
         raise ConfigError(
@@ -155,10 +164,9 @@ def _run_corr_decay(params, seed, base, threads, rec):
     res = corr_decay(q["p"], q["n"], q["t_values"], kind, q["replicas"], seed,
                      threads)
     rows = [_estimate_row(t, e) for t, e in zip(res.t_values, res.estimates)]
-    rec.outputs.append(write_name := base + ".csv")
-    write_csv_atomic(write_name,
-                     ["t", "estimate", "stderr", "ci_low", "ci_high",
-                      "replicas", "degenerate"], rows)
+    rec.outputs.append(path := base + ".csv")
+    write_csv_atomic(path, ["t", "estimate", "stderr", "ci_low", "ci_high",
+                            "replicas", "degenerate"], list(zip(*rows)))
     for t, e in zip(res.t_values, res.estimates):
         if t == 0.0:
             rec.check("corr_at_t0_exactly_one", e.estimate == 1.0,
@@ -180,8 +188,7 @@ def _run_variance_scaling(params, seed, base, threads, rec):
                            q["n_boot"], threads)
     rec.outputs.append(path := base + ".csv")
     write_csv_atomic(path, ["n", "variance", "mean_over_n"],
-                     [[n, v, m] for n, v, m in
-                      zip(res.fit.scales, res.fit.statistic, res.means_over_n)])
+                     [res.fit.scales, res.fit.statistic, res.means_over_n])
     return {"slope": res.fit.slope,
             "slope_ci": [res.fit.ci_low, res.fit.ci_high],
             "slope_ci_contains_two_thirds":
@@ -201,7 +208,7 @@ def _run_transversal(params, seed, base, threads, rec):
                                q["n_boot"], threads)
     rec.outputs.append(path := base + ".csv")
     write_csv_atomic(path, ["n", "median_deviation"],
-                     list(zip(res.fit.scales, res.fit.statistic)))
+                     [res.fit.scales, res.fit.statistic])
     summary = {"slope": res.fit.slope,
                "slope_ci": [res.fit.ci_low, res.fit.ci_high],
                "slope_ci_contains_two_thirds":
@@ -222,10 +229,11 @@ def _run_geodesic_heatmap(params, seed, base, threads, rec):
     q = schema.parse(params)
     hm = geodesic_heatmap(q["p"], q["n"], q["replicas"], seed, threads)
     n, reps = q["n"], q["replicas"]
-    rows = [[i, j, int(hm.counts[i, j]), hm.counts[i, j] / reps]
-            for i in range(n + 1) for j in range(n + 1)]
+    x1, x2 = np.indices(hm.counts.shape).reshape(2, -1)
+    counts = hm.counts.ravel()
     rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["x1", "x2", "count", "frequency"], rows)
+    write_csv_atomic(path, ["x1", "x2", "count", "frequency"],
+                     [x1, x2, counts, counts / reps])
     rec.check("endpoints_on_every_geodesic",
               hm.counts[0, 0] == reps and hm.counts[n, n] == reps,
               f"origin {hm.counts[0, 0]}, target {hm.counts[n, n]}, "
@@ -271,7 +279,7 @@ def _run_stationary_checks(params, seed, base, threads, rec):
             ["exit_z_h", ex.z_h, True],
             ["exit_z_v", ex.z_v, True]]
     rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["check", "value", "passed"], rows)
+    write_csv_atomic(path, ["check", "value", "passed"], list(zip(*rows)))
     rec.check("domination_exact", dom)
     rec.check("additivity_exact", additive)
     rec.check("gof_horizontal", p_h > 1e-3, f"p-value {p_h:.3g}")
@@ -287,9 +295,9 @@ def _run_stationary_checks(params, seed, base, threads, rec):
 
 def _run_rw_bound(params, seed, base, threads, rec):
     schema = (_Schema("rw-bound")
-              .add("values", (list, int))
+              .add("values", (list, int), low=-_WALK_MAX, high=_WALK_MAX)
               .add("probs", (list, float), low=0.0, high=1.0)
-              .add("n_steps", (list, int), low=1)
+              .add("n_steps", (list, int), low=1, high=_WALK_MAX)
               .add("replicas", int, low=100))
     q = schema.parse(params)
     try:
@@ -314,7 +322,7 @@ def _run_rw_bound(params, seed, base, threads, rec):
                                  "bound": rep.bound, "exact": rep.exact}
     rec.outputs.append(path := base + ".csv")
     write_csv_atomic(path, ["n_steps", "q_hat", "stderr", "ci_low", "ci_high",
-                            "bound", "exact"], rows)
+                            "bound", "exact"], list(zip(*rows)))
     summary["spec"] = {"values": list(spec.values), "probs": list(spec.probs),
                        "mu": spec.mu, "sigma": spec.sigma, "delta": spec.delta}
     return summary
@@ -323,7 +331,7 @@ def _run_rw_bound(params, seed, base, threads, rec):
 def _run_sandwich(params, seed, base, threads, rec):
     schema = (_Schema("sandwich")
               .add("p", float, **_FIELD_P)
-              .add("v", (list, int), low=1)
+              .add("v", (list, int), low=1, high=4000)
               .add("s", float, low=0.0, open_low=True)
               .add("replicas", int, low=2))
     q = schema.parse(params)
@@ -337,15 +345,15 @@ def _run_sandwich(params, seed, base, threads, rec):
         raise ConfigError(f'invalid value for "s"/"v" in sandwich: {exc}'
                           ) from None
     rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["field", "value"],
-                     [["k", rep.k], ["lam_minus", rep.lam_minus],
-                      ["lam_plus", rep.lam_plus],
-                      ["lam_hat_plus", rep.lam_hat_plus],
-                      ["frequency", rep.frequency.estimate],
-                      ["frequency_ci_low", rep.frequency.ci_low],
-                      ["frequency_ci_high", rep.frequency.ci_high],
-                      ["y_mean", rep.y_mean.estimate],
-                      ["y_mean_stderr", rep.y_mean.stderr]])
+    rows = [["k", rep.k], ["lam_minus", rep.lam_minus],
+            ["lam_plus", rep.lam_plus],
+            ["lam_hat_plus", rep.lam_hat_plus],
+            ["frequency", rep.frequency.estimate],
+            ["frequency_ci_low", rep.frequency.ci_low],
+            ["frequency_ci_high", rep.frequency.ci_high],
+            ["y_mean", rep.y_mean.estimate],
+            ["y_mean_stderr", rep.y_mean.stderr]]
+    write_csv_atomic(path, ["field", "value"], list(zip(*rows)))
     rec.check("y_mean_nonnegative",
               rep.y_mean.estimate >= -3.0 * rep.y_mean.stderr,
               f"mean {rep.y_mean.estimate:.4f} se {rep.y_mean.stderr:.4f}")
@@ -368,16 +376,16 @@ def _run_noise_compare(params, seed, base, threads, rec):
         raise ConfigError(f'invalid value for "t" in noise-compare: {exc}'
                           ) from None
     rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["metric", "value"],
-                     [["cap", res.cap],
-                      ["corr_bit_t", res.corr_bit.estimate],
-                      ["corr_site_Mt", res.corr_site.estimate],
-                      ["corr_diff", res.corr_diff.estimate],
-                      ["corr_diff_ci_low", res.corr_diff.ci_low],
-                      ["corr_diff_ci_high", res.corr_diff.ci_high],
-                      ["cov_capped_bit", res.cov_capped_bit],
-                      ["cov_capped_site", res.cov_capped_site],
-                      ["cap_gap_fraction", res.cap_gap_fraction]])
+    rows = [["cap", res.cap],
+            ["corr_bit_t", res.corr_bit.estimate],
+            ["corr_site_Mt", res.corr_site.estimate],
+            ["corr_diff", res.corr_diff.estimate],
+            ["corr_diff_ci_low", res.corr_diff.ci_low],
+            ["corr_diff_ci_high", res.corr_diff.ci_high],
+            ["cov_capped_bit", res.cov_capped_bit],
+            ["cov_capped_site", res.cov_capped_site],
+            ["cap_gap_fraction", res.cap_gap_fraction]]
+    write_csv_atomic(path, ["metric", "value"], list(zip(*rows)))
     if q["t"] == 0.0:
         rec.check("correlations_exactly_one_at_t0",
                   res.corr_bit.estimate == 1.0
@@ -405,10 +413,12 @@ def _run_influence_map(params, seed, base, threads, rec):
     table = visit_vs_influence(q["p"], q["n"], q["replicas"], seed,
                                i_max=q["i_max"], delta=q["delta"],
                                threads=threads)
-    rows = [[r.v[0], r.v[1], i, inf]
-            for r in table for i, inf in enumerate(r.bit_influences)]
+    influences = np.array([r.bit_influences for r in table], dtype=float)
+    site, bit = np.indices(influences.shape).reshape(2, -1)
+    v = np.array([r.v for r in table], dtype=np.int64)[site]
     rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["v1", "v2", "bit", "influence"], rows)
+    write_csv_atomic(path, ["v1", "v2", "bit", "influence"],
+                     [v[:, 0], v[:, 1], bit, influences.ravel()])
     return {"sites": [{"v": list(r.v),
                        "visit_freq": _estimate_dict(r.visit_freq),
                        "influence_sq_sum": r.influence_sq_sum,
@@ -442,7 +452,7 @@ def _run_bks_verify(params, seed, base, threads, rec):
     write_csv_atomic(path, ["trial", "m", "p", "t", "theta", "lhs",
                             "rhs_stated", "rhs_proof", "margin_stated",
                             "margin_proof", "stated_holds", "proof_holds"],
-                     rows)
+                     list(zip(*rows)))
     rec.check("proof_form_all_trials",
               all(r[11] for r in rows), f"{q['trials']} trials")
     if stated_fails:
@@ -455,8 +465,8 @@ def _run_bks_verify(params, seed, base, threads, rec):
 def _run_dump_field(params, seed, base, threads, rec):
     schema = (_Schema("dump-field")
               .add("p", float, **_FIELD_P)
-              .add("lo", (list, int))
-              .add("hi", (list, int))
+              .add("lo", (list, int), **_COORD)
+              .add("hi", (list, int), **_COORD)
               .add("t", float, default=None, low=0.0)
               .add("kind", str, default="BIT"))
     q = schema.parse(params)
@@ -475,15 +485,12 @@ def _run_dump_field(params, seed, base, threads, rec):
     cfg = WeightConfig(q["p"], seed, region)
     w = weights(cfg)
     header = ["x1", "x2", "weight"]
-    cols = [w]
+    cols = [g.ravel() for g in region.coord_grids()] + [w.ravel()]
     if q["t"] is not None:
-        cols.append(noisy_weights(NoisyPair(cfg, q["t"], kind)))
+        cols.append(noisy_weights(NoisyPair(cfg, q["t"], kind)).ravel())
         header.append("noisy_weight")
-    lo = region.lo
-    rows = [[lo[0] + i, lo[1] + j] + [int(c[i, j]) for c in cols]
-            for i in range(w.shape[0]) for j in range(w.shape[1])]
     rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, header, rows)
+    write_csv_atomic(path, header, cols)
     return {"shape": list(w.shape), "total_weight": int(w.sum())}
 
 
@@ -495,16 +502,18 @@ def _run_dump_geodesic(params, seed, base, threads, rec):
     n = q["n"]
     w = weights(WeightConfig(q["p"], seed, Rect((0, 0), (n, n))))
     rep = geodesic_report(w)
-    up = {tuple(x) for x in rep.upmost}
-    down = {tuple(x) for x in rep.downmost}
-    rows = [[i, j, int(w[i, j]), int(rep.member_mask[i, j]),
-             int((i, j) in up), int((i, j) in down)]
-            for i in range(n + 1) for j in range(n + 1)]
+    on_path = np.zeros((2,) + w.shape, dtype=np.int64)
+    for k, geo in enumerate((rep.upmost, rep.downmost)):
+        on_path[k][geo[:, 0], geo[:, 1]] = 1
+    x1, x2 = np.indices(w.shape).reshape(2, -1)
+    on_geodesic = rep.member_mask.astype(np.int64).ravel()
     rec.outputs.append(path := base + ".csv")
     write_csv_atomic(path, ["x1", "x2", "weight", "on_geodesic", "on_upmost",
-                            "on_downmost"], rows)
+                            "on_downmost"],
+                     [x1, x2, w.ravel(), on_geodesic, on_path[0].ravel(),
+                      on_path[1].ravel()])
     rec.check("paths_inside_geodesic_set",
-              all(rep.member_mask[x] for x in up | down))
+              bool(rep.member_mask[on_path.any(axis=0)].all()))
     return {"travel_time": rep.value,
             "geodesic_sites": int(rep.member_mask.sum())}
 
@@ -518,10 +527,10 @@ def _run_dump_stationary(params, seed, base, threads, rec):
               .add("cols", int, low=1, high=2000))
     q = schema.parse(params)
     sf = build_stationary(q["p"], q["lam"], (q["rows"], q["cols"]), seed)
-    rows = [[i, j, int(sf.G[i, j]), int(sf.grid[i, j])]
-            for i in range(q["rows"] + 1) for j in range(q["cols"] + 1)]
+    x1, x2 = np.indices(sf.G.shape).reshape(2, -1)
     rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["x1", "x2", "G", "relative_weight"], rows)
+    write_csv_atomic(path, ["x1", "x2", "G", "relative_weight"],
+                     [x1, x2, sf.G.ravel(), sf.grid.ravel()])
     rec.check("domination_exact", sf.domination_holds())
     par = sf.params
     return {"q": par.q, "p_h": par.p_h, "p_v": par.p_v,

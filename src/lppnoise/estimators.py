@@ -19,7 +19,8 @@ from scipy import stats
 
 from .lattice import (NoiseKind, NoisyPair, Rect, WeightConfig, coupled_cap,
                       coupled_fields, noisy_stack, site_bits, weights)
-from .lpp import backward_table, forward_table, geodesic_report, travel_time
+from .lpp import (backward_table, extreme_path, forward_table, geodesic_report,
+                  travel_time)
 from .rng import Stream, derive_seed, uniform_array
 from .stationary import build_stationary
 
@@ -349,7 +350,8 @@ def transversal_exponent(p: float, n_list, replicas: int, seed: int,
         def one(r: int, n=n, pos=pos) -> float:
             sub = derive_seed(seed, Stream.REPLICA, pos * replicas + r)
             cfg = WeightConfig(p, sub, _square(n))
-            path = geodesic_report(weights(cfg)).upmost
+            w = weights(cfg)
+            path = extreme_path(forward_table(w), w, upmost=True)
             mid = path[path[:, 0] == n // 2, 1]
             return float(np.max(np.abs(mid - n / 2.0)))
         samples.append(np.array(_replica_map(one, replicas, threads)))

@@ -12,9 +12,10 @@ so the quadratic table costs O(area) vector work in O(rows) ufunc calls
 instead of a Python-level double loop; ``travel_time`` runs it over a
 whole stack of fields at once.
 
-``geodesic_report`` returns the exact geodesic set (as a vertex mask)
-plus the upmost and downmost geodesics extracted greedily from the
-forward/backward tables.
+``geodesic_report`` returns the exact geodesic set (as a vertex mask,
+which needs the forward and backward tables) plus the upmost and
+downmost geodesics, which ``extreme_path`` backtracks greedily on the
+forward table alone.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "forward_table",
     "backward_table",
     "travel_time",
+    "extreme_path",
     "GeodesicReport",
     "geodesic_report",
     "path_above",
@@ -116,27 +118,28 @@ class GeodesicReport:
     downmost: np.ndarray
 
 
-def _extract_path(f: np.ndarray, b: np.ndarray, total: int, prefer_up: bool) -> np.ndarray:
-    n1, n2 = f.shape
-    i = j = 0
-    path = [(0, 0)]
-    while (i, j) != (n1 - 1, n2 - 1):
-        up_ok = j + 1 < n2 and f[i, j] + b[i, j + 1] == total
-        right_ok = i + 1 < n1 and f[i, j] + b[i + 1, j] == total
-        if prefer_up:
-            if up_ok:
-                j += 1
+def extreme_path(f: np.ndarray, w: np.ndarray, upmost: bool) -> np.ndarray:
+    """Upmost (or downmost) geodesic, backtracked on the forward table alone.
+
+    From the top-right corner, the predecessor of a path vertex (i, j) is
+    a neighbour with ``F[pred] == F[i, j] - w[i, j]``.  Trying (i-1, j)
+    first keeps the path as high as it can go, which gives the upmost
+    geodesic; trying (i, j-1) first gives the downmost."""
+    i, j = f.shape[0] - 1, f.shape[1] - 1
+    path = [(i, j)]
+    while i or j:
+        need = f[i, j] - w[i, j]
+        if upmost:
+            if i and f[i - 1, j] == need:
+                i -= 1
             else:
-                assert right_ok
-                i += 1
+                j -= 1
+        elif j and f[i, j - 1] == need:
+            j -= 1
         else:
-            if right_ok:
-                i += 1
-            else:
-                assert up_ok
-                j += 1
+            i -= 1
         path.append((i, j))
-    return np.array(path, dtype=np.int64)
+    return np.array(path[::-1], dtype=np.int64)
 
 
 def geodesic_report(w: np.ndarray, allow_large: bool = False) -> GeodesicReport:
@@ -149,9 +152,8 @@ def geodesic_report(w: np.ndarray, allow_large: bool = False) -> GeodesicReport:
     b = backward_table(w)
     total = int(f[-1, -1])
     mask = (f + b - w) == total
-    upmost = _extract_path(f, b, total, prefer_up=True)
-    downmost = _extract_path(f, b, total, prefer_up=False)
-    return GeodesicReport(total, mask, upmost, downmost)
+    return GeodesicReport(total, mask, extreme_path(f, w, upmost=True),
+                          extreme_path(f, w, upmost=False))
 
 
 def _col_minima(path: np.ndarray) -> dict[int, int]:

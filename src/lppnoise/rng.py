@@ -21,17 +21,12 @@ with the same values as the full key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 __all__ = [
     "Stream",
-    "RngKey",
-    "uniform01",
-    "bernoulli",
-    "exponential1",
     "uniform_array",
     "exponential_array",
     "geometric_array",
@@ -73,20 +68,6 @@ class Stream(IntEnum):
     BOUNDARY_ARRIVAL = 6
     REPLICA = 7
     GENERIC = 8
-
-
-@dataclass(frozen=True)
-class RngKey:
-    """Structured key addressing one random variate.
-
-    ``site`` is an absolute lattice coordinate (may be negative); keys
-    with no natural site use ``site=(0, 0)`` and a distinguishing tag.
-    """
-
-    master_seed: int
-    site: tuple[int, int]
-    index: int
-    stream_tag: Stream
 
 
 def _mix(z):
@@ -173,24 +154,6 @@ def geometric_array(seed: int, tag: Stream, sx, sy, index, p: float) -> np.ndarr
         raise ValueError(f"p must lie in (0, 1), got {p}")
     u = uniform_array(seed, tag, sx, sy, index)
     return np.floor(np.log1p(-u) / np.log1p(-p)).astype(np.int64)
-
-
-def uniform01(key: RngKey) -> float:
-    """Uniform[0, 1) value of a single key (53-bit resolution)."""
-    return float(uniform_array(key.master_seed, key.stream_tag,
-                               key.site[0], key.site[1], key.index))
-
-
-def bernoulli(key: RngKey, p: float) -> bool:
-    """Bernoulli(p) value of a single key."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    return uniform01(key) < p
-
-
-def exponential1(key: RngKey) -> float:
-    """Exp(1) value of a single key; 0.0 exactly when the uniform is 0."""
-    return float(-np.log1p(-uniform01(key)))
 
 
 def derive_seed(seed: int, tag: Stream, index: int) -> int:

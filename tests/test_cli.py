@@ -5,12 +5,19 @@ import json
 import subprocess
 import sys
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lppnoise.cli import main
-from lppnoise.lattice import Rect, WeightConfig, weights
+from lppnoise.lattice import (NoiseKind, NoisyPair, Rect, WeightConfig,
+                              noisy_weights, weights)
+from lppnoise.lpp import geodesic_report
 from lppnoise.stationary import build_stationary
 
 SUBCOMMANDS = ["run", "bks-verify", "corr-decay", "variance-scaling",
@@ -105,8 +112,50 @@ def test_dump_geodesic_flags_are_consistent(tmp_path):
     rows = [ln.split(",") for ln in lines[1:]]
     assert len(rows) == 81
     for _, _, _, on_g, on_up, on_down in rows:
-        if on_up == "true" or on_down == "true":
-            assert on_g == "true"
+        if on_up == "1" or on_down == "1":
+            assert on_g == "1"
+
+
+def _per_site_csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([[str(c) for c in row] for row in rows])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("lo,hi,kind", [((-3, -5), (2, 1), "BIT"),
+                                        ((-7, 2), (-4, 9), "SITE"),
+                                        ((0, -2), (0, 3), "SITE")])
+def test_dump_field_bytes_match_per_site_reference(tmp_path, lo, hi, kind):
+    res = _invoke(["dump-field", "--p", "0.4", "--lo", *map(str, lo), "--hi",
+                   *map(str, hi), "--t", "0.7", "--kind", kind, "--seed",
+                   "41", "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    cfg = WeightConfig(0.4, 41, Rect(lo, hi))
+    w = weights(cfg)
+    nw = noisy_weights(NoisyPair(cfg, 0.7, NoiseKind[kind]))
+    rows = [[lo[0] + i, lo[1] + j, int(w[i, j]), int(nw[i, j])]
+            for i in range(w.shape[0]) for j in range(w.shape[1])]
+    assert (tmp_path / "dump_field.csv").read_bytes() == _per_site_csv(
+        ["x1", "x2", "weight", "noisy_weight"], rows)
+
+
+@pytest.mark.parametrize("n,seed", [(1, 3), (9, 17), (30, 5)])
+def test_dump_geodesic_bytes_match_per_site_reference(tmp_path, n, seed):
+    res = _invoke(["dump-geodesic", "--p", "0.5", "--n", str(n), "--seed",
+                   str(seed), "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    w = weights(WeightConfig(0.5, seed, Rect((0, 0), (n, n))))
+    rep = geodesic_report(w)
+    up = {tuple(x) for x in rep.upmost}
+    down = {tuple(x) for x in rep.downmost}
+    rows = [[i, j, int(w[i, j]), int(rep.member_mask[i, j]),
+             int((i, j) in up), int((i, j) in down)]
+            for i in range(n + 1) for j in range(n + 1)]
+    assert (tmp_path / "dump_geodesic.csv").read_bytes() == _per_site_csv(
+        ["x1", "x2", "weight", "on_geodesic", "on_upmost", "on_downmost"],
+        rows)
 
 
 def test_stationary_checks_pass(tmp_path):
@@ -270,6 +319,115 @@ def test_run_rejects_p_below_floor(tmp_path):
     assert res.exit_code == 1
     assert ('invalid value for "p" in corr-decay: must be >= 0.001'
             in res.output)
+
+
+# A valid configuration of every experiment at a tiny size; the random
+# configs below start from these and break fields at random.
+_TINY = {
+    "corr-decay": {"p": 0.5, "n": 3, "t_values": [0.0, 0.5], "kind": "BIT",
+                   "replicas": 30},
+    "variance-scaling": {"p": 0.5, "n_list": [2, 3, 4], "replicas": 2,
+                         "n_boot": 10},
+    "transversal": {"p": 0.5, "n_list": [2, 3, 4], "replicas": 2,
+                    "n_boot": 10, "envelope_widths": [0, 2]},
+    "geodesic-heatmap": {"p": 0.5, "n": 3, "replicas": 2},
+    "stationary-checks": {"p": 0.5, "lam": 0.5, "rows": 2, "cols": 2,
+                          "gof_samples": 500},
+    "rw-bound": {"values": [-1, 1], "probs": [0.5, 0.5], "n_steps": [3],
+                 "replicas": 100},
+    "sandwich": {"p": 0.5, "v": [3, 3], "s": 0.05, "replicas": 2},
+    "noise-compare": {"p": 0.5, "n": 3, "t": 0.1, "replicas": 30},
+    "influence-map": {"p": 0.5, "n": 2, "replicas": 30, "i_max": 1,
+                      "delta": 0.5},
+    "bks-verify": {"m": 2, "p": 0.5, "t": 0.5, "trials": 2},
+    "dump-field": {"p": 0.5, "lo": [-1, -2], "hi": [1, 0], "t": 0.5,
+                   "kind": "SITE"},
+    "dump-geodesic": {"p": 0.5, "n": 2},
+    "dump-stationary": {"p": 0.5, "lam": 0.5, "rows": 2, "cols": 2},
+}
+# Ints far outside int64 go only where they cannot size an array.
+_HUGE = st.sampled_from([2 ** 31, 2 ** 62 + 1, 2 ** 63, -2 ** 63 - 1, 2 ** 70,
+                         -2 ** 70])
+_COORD_FIELDS = {"lo", "hi", "values", "v", "envelope_widths"}
+_ATOM = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6),
+    st.sampled_from([0.0, -1.5, 0.5, 0.999, 1.0, 1e-9, 1e308, float("nan"),
+                     float("inf"), float("-inf")]),
+    st.sampled_from(["", "BIT", "site", "COUPLED", "x"]))
+_JUNK = st.one_of(_ATOM, st.lists(_ATOM, max_size=4),
+                  st.dictionaries(st.sampled_from(["a", "p"]), _ATOM,
+                                  max_size=2))
+
+
+_SEED = st.sampled_from(["int"] * 9 + ["junk"]).flatmap(
+    lambda k: st.integers(-2 ** 64, 2 ** 64) if k == "int" else _ATOM)
+
+
+@st.composite
+def _experiment(draw):
+    name = draw(st.sampled_from(sorted(_TINY)))
+    params = dict(_TINY[name])
+    broken = draw(st.lists(st.sampled_from(sorted(params)), max_size=2,
+                           unique=True))
+    for key in broken:
+        action = draw(st.sampled_from(["drop", "junk", "huge"]))
+        if action == "drop":
+            del params[key]
+        elif action == "huge" and key in _COORD_FIELDS:
+            k = draw(st.integers(0, len(params[key]) - 1))
+            params[key] = params[key][:k] + [draw(_HUGE)] + params[key][k + 1:]
+        else:
+            params[key] = draw(_JUNK)
+    if draw(st.integers(0, 19)) == 0:
+        params["unknown"] = 1
+    entry = {"name": name, "params": params}
+    if draw(st.integers(0, 3)) == 0:
+        entry["seed"] = draw(_SEED)
+    return entry
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(experiments=st.lists(_experiment(), min_size=1, max_size=2),
+       seed=_SEED)
+def test_random_config_never_raises(tmp_path, experiments, seed):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": seed,
+                               "output_dir": str(tmp_path / "out"),
+                               "experiments": experiments}))
+    res = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        res.exc_info
+    assert res.exit_code in (0, 1, 2)
+    assert "Traceback" not in res.output
+    if res.exit_code == 1:
+        assert "configuration error: " in res.output
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("corr-decay", {"p": 0.5, "n": 3, "t_values": [0.5], "replicas": 1e308},
+     '"replicas" in corr-decay: must fit in a signed 64-bit integer'),
+    ("rw-bound", {"values": [2 ** 70, -1], "probs": [0.5, 0.5],
+                  "n_steps": [3], "replicas": 100},
+     '"values[0]" in rw-bound: must fit in a signed 64-bit integer'),
+    ("rw-bound", {"values": [-1, 2 ** 62 + 1], "probs": [0.5, 0.5],
+                  "n_steps": [3], "replicas": 100},
+     '"values[1]" in rw-bound: must be <= 2147483648'),
+    ("rw-bound", {"values": [-1, 1], "probs": [0.5, 0.5],
+                  "n_steps": [2 ** 31 + 1], "replicas": 100},
+     '"n_steps[0]" in rw-bound: must be <= 2147483648'),
+    ("dump-field", {"p": 0.5, "lo": [2 ** 70, 0], "hi": [2 ** 70 + 1, 1]},
+     '"lo[0]" in dump-field: must fit in a signed 64-bit integer'),
+    ("dump-field", {"p": 0.5, "lo": [0, 2 ** 63 - 2], "hi": [1, 2 ** 63 - 1]},
+     '"lo[1]" in dump-field: must be <= 4611686018427387904'),
+    ("sandwich", {"p": 0.5, "v": [2 ** 40, 2 ** 40], "s": 0.05,
+                  "replicas": 2},
+     '"v[0]" in sandwich: must be <= 4000'),
+])
+def test_run_rejects_out_of_range_ints(tmp_path, name, params, message):
+    res = _run_one(tmp_path, name, params)
+    assert res.exit_code == 1
+    assert f"configuration error: invalid value for {message}" in res.output
 
 
 def test_run_missing_config_file(tmp_path):

@@ -14,9 +14,9 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import brute_geodesics, brute_travel
 from lppnoise import lpp
-from lppnoise.lpp import (MAX_TABLE_SIDE, backward_table, forward_table,
-                          geodesic_report, increment_profile, path_above,
-                          travel_time)
+from lppnoise.lpp import (MAX_TABLE_SIDE, backward_table, extreme_path,
+                          forward_table, geodesic_report, increment_profile,
+                          path_above, travel_time)
 
 
 def _python_forward(w):
@@ -105,6 +105,51 @@ def test_extreme_geodesics_are_extreme(small_fields):
         for path in paths:
             assert path_above(rep.upmost, np.array(path))
             assert path_above(np.array(path), rep.downmost)
+
+
+def _forward_walk_path(w, prefer_up):
+    """Reference extreme geodesic: walk from the origin on both tables,
+    stepping up (or right) first whenever that stays on a geodesic."""
+    f, b = forward_table(w), backward_table(w)
+    total = int(f[-1, -1])
+    n1, n2 = f.shape
+    i = j = 0
+    path = [(0, 0)]
+    while (i, j) != (n1 - 1, n2 - 1):
+        up_ok = j + 1 < n2 and f[i, j] + b[i, j + 1] == total
+        right_ok = i + 1 < n1 and f[i, j] + b[i + 1, j] == total
+        if prefer_up:
+            if up_ok:
+                j += 1
+            else:
+                i += 1
+        elif right_ok:
+            i += 1
+        else:
+            j += 1
+        path.append((i, j))
+    return np.array(path, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.tuples(st.integers(1, 30), st.integers(1, 30)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=st.integers(0, 3))))
+def test_extreme_path_matches_forward_walk(w):
+    f = forward_table(w)
+    for upmost in (True, False):
+        path = extreme_path(f, w, upmost=upmost)
+        assert path.dtype == np.int64
+        assert np.array_equal(path, _forward_walk_path(w, prefer_up=upmost))
+
+
+def test_extreme_path_on_random_fields():
+    rng = np.random.default_rng(314)
+    for k in range(300):
+        p = (0.3, 0.5, 0.9)[k % 3]
+        w = rng.geometric(p, size=tuple(rng.integers(1, 60, 2))) - 1
+        rep = geodesic_report(w)
+        assert np.array_equal(rep.upmost, _forward_walk_path(w, True))
+        assert np.array_equal(rep.downmost, _forward_walk_path(w, False))
 
 
 def test_geodesic_weight_sums_to_value(small_fields):

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppnoise import rng
-from lppnoise.rng import (RngKey, Stream, bernoulli, bernoulli_at,
-                          derive_seed, exponential1, exponential_array,
+from lppnoise.rng import (Stream, bernoulli_at, derive_seed, exponential_array,
                           exponential_at, geometric_array, key_prefix,
-                          uniform01, uniform_array, uniform_at)
+                          uniform_array, uniform_at)
 
 _M64 = (1 << 64) - 1
 
@@ -99,11 +98,11 @@ def test_geometric_rejects_bad_p():
 
 
 def test_scalar_helpers_agree_with_arrays():
-    key = RngKey(master_seed=21, site=(4, -2), index=7, stream_tag=Stream.GENERIC)
-    u = uniform01(key)
+    prefix = key_prefix(21, Stream.GENERIC, 4, -2)
+    u = uniform_at(prefix, 7)
     assert u == uniform_array(21, Stream.GENERIC, 4, -2, 7)
-    assert bernoulli(key, 0.999) == (u < 0.999)
-    assert exponential1(key) == -np.log1p(-u)
+    assert bernoulli_at(prefix, 7, 0.999) == (u < 0.999)
+    assert exponential_at(prefix, 7) == -np.log1p(-u)
 
 
 def test_derive_seed_is_stable_and_injective_in_practice():
