@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -26,7 +27,7 @@ from .estimators import (antidiagonal_frequencies, corr_decay,
                          variance_scaling, visit_vs_influence, walk_spec)
 from .lattice import (NoiseKind, NoisyPair, Rect, WeightConfig, noisy_weights,
                       weights)
-from .lpp import geodesic_report, travel_time
+from .lpp import geodesic_report
 from .manifest import (ExperimentRecord, RunManifest, write_csv_atomic,
                        write_json_atomic)
 from .rng import Stream, derive_seed
@@ -45,7 +46,6 @@ _REQUIRED = object()
 # bit by bit, about 1/p keyed draws per site, so the floor caps that
 # factor at 1000.
 P_MIN = 1e-3
-_FIELD_P = dict(low=P_MIN, high=1.0, open_high=True)
 _INT64 = 2 ** 63
 # Lattice coordinates keep a margin to the int64 limit for the corner
 # arithmetic; |step| and the step count keep every walk position in int64.
@@ -84,51 +84,82 @@ def _check_value(name, value, where, kind, low=None, high=None,
     return value
 
 
-class _Schema:
-    def __init__(self, where: str):
-        self.where = where
-        self.fields: dict[str, tuple] = {}
+class _Field(NamedTuple):
+    """One parameter of an experiment: its config entry and its flag."""
 
-    def add(self, name, kind, default=_REQUIRED, **limits):
-        self.fields[name] = (kind, default, limits)
-        return self
+    key: str
+    kind: type                # int, float or str; the item type of a list
+    many: bool                # a nonempty list of ``kind``
+    default: object           # _REQUIRED if a config must give it
+    limits: dict              # keywords of _check_value
+    flag: str | None          # None: config only
+    cli: dict | None          # click.Option keywords besides the type
 
-    def parse(self, params: dict) -> dict:
-        out = {}
-        for key in params:
-            if key not in self.fields:
+
+def _field(key, kind, default=_REQUIRED, *, flag=None, cli=None, **limits):
+    """``kind`` is int, float or str, or ``[int]``/``[float]`` for a list.
+    ``cli`` holds the option's click keywords (a ``default`` is shown in
+    the help, a list takes ``multiple`` unless it sets ``nargs``); without
+    it the field is config only.  The flag defaults to ``--<key>``."""
+    many = isinstance(kind, list)
+    if cli is not None:
+        flag = flag or "--" + key.replace("_", "-")
+    return _Field(key, kind[0] if many else kind, many, default, limits,
+                  flag, cli)
+
+
+def _parse(where: str, fields: tuple[_Field, ...], params: dict) -> dict:
+    """Validated parameters, defaults filled in, in field order."""
+    keys = [f.key for f in fields]
+    for key in params:
+        if key not in keys:
+            raise ConfigError(
+                f'unknown parameter "{key}" for {where}; '
+                f"expected one of {sorted(keys)}")
+    out = {}
+    for f in fields:
+        if f.key not in params:
+            if f.default is _REQUIRED:
                 raise ConfigError(
-                    f'unknown parameter "{key}" for {self.where}; '
-                    f"expected one of {sorted(self.fields)}")
-        for name, (kind, default, limits) in self.fields.items():
-            if name not in params:
-                if default is _REQUIRED:
-                    raise ConfigError(
-                        f'missing required parameter "{name}" for {self.where}')
-                out[name] = default
-                continue
-            value = params[name]
-            if kind in (float, int):
-                out[name] = _check_value(name, value, self.where, kind,
-                                         **limits)
-            elif isinstance(kind, tuple) and kind[0] is list:
-                if not isinstance(value, (list, tuple)) or not value:
-                    raise ConfigError(
-                        f'invalid value for "{name}" in {self.where}: '
-                        f"expected a nonempty list, got {value!r}")
-                out[name] = [
-                    _check_value(f"{name}[{k}]", v, self.where, kind[1],
-                                 **limits)
-                    for k, v in enumerate(value)]
-            elif kind is str:
-                if not isinstance(value, str):
-                    raise ConfigError(
-                        f'invalid value for "{name}" in {self.where}: '
-                        f"expected a string, got {value!r}")
-                out[name] = value
-            else:  # pragma: no cover - schema bug
-                raise AssertionError(name)
-        return out
+                    f'missing required parameter "{f.key}" for {where}')
+            out[f.key] = f.default
+            continue
+        value = params[f.key]
+        if f.many:
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ConfigError(
+                    f'invalid value for "{f.key}" in {where}: '
+                    f"expected a nonempty list, got {value!r}")
+            out[f.key] = [
+                _check_value(f"{f.key}[{k}]", v, where, f.kind, **f.limits)
+                for k, v in enumerate(value)]
+        elif f.kind is str:
+            if not isinstance(value, str):
+                raise ConfigError(
+                    f'invalid value for "{f.key}" in {where}: '
+                    f"expected a string, got {value!r}")
+            out[f.key] = value
+        else:
+            out[f.key] = _check_value(f.key, value, where, f.kind, **f.limits)
+    return out
+
+
+class _Experiment(NamedTuple):
+    name: str
+    doc: str                  # the command's help
+    runner: Callable          # (params, seed, rec) -> (header, columns, summary)
+    fields: tuple[_Field, ...]
+
+
+_EXPERIMENTS: dict[str, _Experiment] = {}
+
+
+def _experiment(name: str, *fields: _Field):
+    """Register a runner; its docstring is the command's help."""
+    def register(runner):
+        _EXPERIMENTS[name] = _Experiment(name, runner.__doc__, runner, fields)
+        return runner
+    return register
 
 
 def _parse_kind(raw: str, where: str) -> NoiseKind:
@@ -139,11 +170,6 @@ def _parse_kind(raw: str, where: str) -> NoiseKind:
     return NoiseKind[raw.upper()]
 
 
-def _estimate_row(t, e):
-    return [t, e.estimate, e.stderr, e.ci_low, e.ci_high, e.replicas,
-            e.degenerate]
-
-
 def _estimate_dict(e):
     return {"estimate": e.estimate, "stderr": e.stderr, "ci_low": e.ci_low,
             "ci_high": e.ci_high, "replicas": e.replicas,
@@ -151,110 +177,115 @@ def _estimate_dict(e):
 
 
 # --------------------------------------------------------------- experiments
+#
+# Each runner is registered with its fields, which give both its config
+# schema and its command's options, and returns (header, columns,
+# summary); _execute writes the CSV and the summary JSON.
 
-def _run_corr_decay(params, seed, base, threads, rec):
-    schema = (_Schema("corr-decay")
-              .add("p", float, **_FIELD_P)
-              .add("n", int, low=1, high=4000)
-              .add("t_values", (list, float), low=0.0)
-              .add("kind", str, default="BIT")
-              .add("replicas", int, low=30))
-    q = schema.parse(params)
+_P = _field("p", float, low=P_MIN, high=1.0, open_high=True,
+            cli=dict(default=0.5))
+_LAM = _field("lam", float, low=0.0, high=1.0, open_low=True, open_high=True,
+              cli=dict(default=0.5))
+_KIND = _field("kind", str, "BIT", cli=dict(
+    default="BIT", type=click.Choice(["BIT", "SITE"], case_sensitive=False)))
+_N_LIST = _field("n_list", [int], low=2, high=4000, flag="--n",
+                 cli=dict(default=(64, 128, 256, 512)))
+_N_BOOT = _field("n_boot", int, 1000, low=10, high=100_000)
+
+
+def _replicas(low, default):
+    return _field("replicas", int, low=low, cli=dict(default=default))
+
+
+@_experiment("corr-decay", _P,
+             _field("n", int, low=1, high=4000, cli=dict(default=100)),
+             _field("t_values", [float], low=0.0, flag="--t",
+                    cli=dict(default=(0.0, 0.25, 1.0, 4.0))),
+             _KIND, _replicas(30, 200))
+def _run_corr_decay(q, seed, rec):
+    """Correlation of T_n between a field and its noisy version."""
     kind = _parse_kind(q["kind"], "corr-decay")
-    res = corr_decay(q["p"], q["n"], q["t_values"], kind, q["replicas"], seed,
-                     threads)
-    rows = [_estimate_row(t, e) for t, e in zip(res.t_values, res.estimates)]
-    rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["t", "estimate", "stderr", "ci_low", "ci_high",
-                            "replicas", "degenerate"], list(zip(*rows)))
+    res = corr_decay(q["p"], q["n"], q["t_values"], kind, q["replicas"], seed)
+    rows = [[t, e.estimate, e.stderr, e.ci_low, e.ci_high, e.replicas,
+             e.degenerate] for t, e in zip(res.t_values, res.estimates)]
     for t, e in zip(res.t_values, res.estimates):
         if t == 0.0:
             rec.check("corr_at_t0_exactly_one", e.estimate == 1.0,
                       f"estimate = {e.estimate}")
     vals = [e.estimate for e in res.estimates if not e.degenerate]
-    return {"estimates": {str(t): _estimate_dict(e)
-                          for t, e in zip(res.t_values, res.estimates)},
-            "monotone_decreasing": all(a > b for a, b in zip(vals, vals[1:]))}
+    return (["t", "estimate", "stderr", "ci_low", "ci_high", "replicas",
+             "degenerate"], list(zip(*rows)),
+            {"estimates": {str(t): _estimate_dict(e)
+                           for t, e in zip(res.t_values, res.estimates)},
+             "monotone_decreasing": all(a > b for a, b in zip(vals, vals[1:]))})
 
 
-def _run_variance_scaling(params, seed, base, threads, rec):
-    schema = (_Schema("variance-scaling")
-              .add("p", float, **_FIELD_P)
-              .add("n_list", (list, int), low=2, high=4000)
-              .add("replicas", int, low=2)
-              .add("n_boot", int, default=1000, low=10))
-    q = schema.parse(params)
-    res = variance_scaling(q["p"], q["n_list"], q["replicas"], seed,
-                           q["n_boot"], threads)
-    rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["n", "variance", "mean_over_n"],
-                     [res.fit.scales, res.fit.statistic, res.means_over_n])
-    return {"slope": res.fit.slope,
-            "slope_ci": [res.fit.ci_low, res.fit.ci_high],
+def _slope_summary(fit):
+    return {"slope": fit.slope, "slope_ci": [fit.ci_low, fit.ci_high],
             "slope_ci_contains_two_thirds":
-                res.fit.ci_low <= 2.0 / 3.0 <= res.fit.ci_high,
-            "means_over_n": list(res.means_over_n)}
+                fit.ci_low <= 2.0 / 3.0 <= fit.ci_high}
 
 
-def _run_transversal(params, seed, base, threads, rec):
-    schema = (_Schema("transversal")
-              .add("p", float, **_FIELD_P)
-              .add("n_list", (list, int), low=2, high=4000)
-              .add("replicas", int, low=2)
-              .add("n_boot", int, default=1000, low=10)
-              .add("envelope_widths", (list, int), default=None, low=0))
-    q = schema.parse(params)
+@_experiment("variance-scaling", _P, _N_LIST, _replicas(2, 500), _N_BOOT)
+def _run_variance_scaling(q, seed, rec):
+    """Slope of log Var(T_n) against log n."""
+    res = variance_scaling(q["p"], q["n_list"], q["replicas"], seed,
+                           q["n_boot"])
+    return (["n", "variance", "mean_over_n"],
+            [res.fit.scales, res.fit.statistic, res.means_over_n],
+            {**_slope_summary(res.fit), "means_over_n": list(res.means_over_n)})
+
+
+@_experiment("transversal", _P, _N_LIST, _replicas(2, 500), _N_BOOT,
+             _field("envelope_widths", [int], None, low=0,
+                    flag="--envelope-width",
+                    cli=dict(help="Also record envelope containment at "
+                                  "these widths.")))
+def _run_transversal(q, seed, rec):
+    """Slope of the upmost geodesic's midline deviation against n."""
     res = transversal_exponent(q["p"], q["n_list"], q["replicas"], seed,
-                               q["n_boot"], threads)
-    rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["n", "median_deviation"],
-                     [res.fit.scales, res.fit.statistic])
-    summary = {"slope": res.fit.slope,
-               "slope_ci": [res.fit.ci_low, res.fit.ci_high],
-               "slope_ci_contains_two_thirds":
-                   res.fit.ci_low <= 2.0 / 3.0 <= res.fit.ci_high}
+                               q["n_boot"])
+    summary = _slope_summary(res.fit)
     if q["envelope_widths"] is not None:
         env = envelope_frequencies(q["p"], max(q["n_list"]),
-                                   q["envelope_widths"], q["replicas"], seed,
-                                   threads=threads)
+                                   q["envelope_widths"], q["replicas"], seed)
         summary["envelope"] = {str(w): _estimate_dict(e) for w, e in env}
-    return summary
+    return ["n", "median_deviation"], [res.fit.scales, res.fit.statistic], \
+        summary
 
 
-def _run_geodesic_heatmap(params, seed, base, threads, rec):
-    schema = (_Schema("geodesic-heatmap")
-              .add("p", float, **_FIELD_P)
-              .add("n", int, low=2, high=2000)
-              .add("replicas", int, low=1))
-    q = schema.parse(params)
-    hm = geodesic_heatmap(q["p"], q["n"], q["replicas"], seed, threads)
+@_experiment("geodesic-heatmap", _P,
+             _field("n", int, low=2, high=2000, cli=dict(default=100)),
+             _replicas(1, 500))
+def _run_geodesic_heatmap(q, seed, rec):
+    """Visit frequencies of the geodesic set of T_n."""
+    hm = geodesic_heatmap(q["p"], q["n"], q["replicas"], seed)
     n, reps = q["n"], q["replicas"]
     x1, x2 = np.indices(hm.counts.shape).reshape(2, -1)
     counts = hm.counts.ravel()
-    rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["x1", "x2", "count", "frequency"],
-                     [x1, x2, counts, counts / reps])
     rec.check("endpoints_on_every_geodesic",
               hm.counts[0, 0] == reps and hm.counts[n, n] == reps,
               f"origin {hm.counts[0, 0]}, target {hm.counts[n, n]}, "
               f"replicas {reps}")
     smax = 0.9 * n ** (1.0 / 3.0)
     s_vals = [s for s in (0.5, 1.0, 2.0, 3.0) if s < smax]
-    return {"diagonal_scaled_frequency": diagonal_scaled_frequency(hm),
-            "corner_leq_midpoint":
-                int(hm.counts[n, 0]) <= int(hm.counts[n // 2, n // 2]),
-            "antidiagonal_frequencies": antidiagonal_frequencies(hm, s_vals)}
+    return (["x1", "x2", "count", "frequency"],
+            [x1, x2, counts, counts / reps],
+            {"diagonal_scaled_frequency": diagonal_scaled_frequency(hm),
+             "corner_leq_midpoint":
+                 int(hm.counts[n, 0]) <= int(hm.counts[n // 2, n // 2]),
+             "antidiagonal_frequencies": antidiagonal_frequencies(hm, s_vals)})
 
 
-def _run_stationary_checks(params, seed, base, threads, rec):
-    schema = (_Schema("stationary-checks")
-              .add("p", float, **_FIELD_P)
-              .add("lam", float, low=0.0, high=1.0, open_low=True,
-                   open_high=True)
-              .add("rows", int, low=1, high=4000)
-              .add("cols", int, low=1, high=4000)
-              .add("gof_samples", int, default=20000, low=500))
-    q = schema.parse(params)
+@_experiment("stationary-checks", _P, _LAM,
+             _field("rows", int, low=1, high=4000, cli=dict(default=200)),
+             _field("cols", int, low=1, high=4000, cli=dict(default=200)),
+             # a 24-wide strip of at most 600000 rows has fewer sites than
+             # the largest rows x cols
+             _field("gof_samples", int, 20000, low=500, high=600_000,
+                    cli=dict(default=20000)))
+def _run_stationary_checks(q, seed, rec):
+    """Exact boundary-model identities plus Burke marginal tests."""
     p, lam = q["p"], q["lam"]
     par = lambda_params(p, lam)
     sf = build_stationary(p, lam, (q["rows"], q["cols"]), seed)
@@ -278,28 +309,30 @@ def _run_stationary_checks(params, seed, base, threads, rec):
             ["gof_pvalue_vertical", p_v, p_v > 1e-3],
             ["exit_z_h", ex.z_h, True],
             ["exit_z_v", ex.z_v, True]]
-    rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["check", "value", "passed"], list(zip(*rows)))
     rec.check("domination_exact", dom)
     rec.check("additivity_exact", additive)
     rec.check("gof_horizontal", p_h > 1e-3, f"p-value {p_h:.3g}")
     rec.check("gof_vertical", p_v > 1e-3, f"p-value {p_v:.3g}")
-    return {"params": {"q": par.q, "q_prime": par.q_prime, "p_h": par.p_h,
-                       "p_v": par.p_v, "direction": list(par.direction)},
-            "mean_increment_h": float(inc_h.mean()),
-            "mean_increment_v": float(inc_v.mean()),
-            "exit_times": {"z_h": ex.z_h, "z_v": ex.z_v,
-                           "exits_right": ex.exits_right,
-                           "exits_up": ex.exits_up}}
+    return (["check", "value", "passed"], list(zip(*rows)),
+            {"params": {"q": par.q, "q_prime": par.q_prime, "p_h": par.p_h,
+                        "p_v": par.p_v, "direction": list(par.direction)},
+             "mean_increment_h": float(inc_h.mean()),
+             "mean_increment_v": float(inc_v.mean()),
+             "exit_times": {"z_h": ex.z_h, "z_v": ex.z_v,
+                            "exits_right": ex.exits_right,
+                            "exits_up": ex.exits_up}})
 
 
-def _run_rw_bound(params, seed, base, threads, rec):
-    schema = (_Schema("rw-bound")
-              .add("values", (list, int), low=-_WALK_MAX, high=_WALK_MAX)
-              .add("probs", (list, float), low=0.0, high=1.0)
-              .add("n_steps", (list, int), low=1, high=_WALK_MAX)
-              .add("replicas", int, low=100))
-    q = schema.parse(params)
+@_experiment("rw-bound",
+             _field("values", [int], low=-_WALK_MAX, high=_WALK_MAX,
+                    flag="--value", cli=dict(required=True)),
+             _field("probs", [float], low=0.0, high=1.0, flag="--prob",
+                    cli=dict(required=True)),
+             _field("n_steps", [int], low=1, high=_WALK_MAX, flag="--steps",
+                    cli=dict(default=(100, 1000, 10000))),
+             _replicas(100, 20000))
+def _run_rw_bound(q, seed, rec):
+    """Stay-nonnegative probability of a drifted walk against its bound."""
     try:
         spec = walk_spec(q["values"], q["probs"])
     except ValueError as exc:
@@ -320,120 +353,112 @@ def _run_rw_bound(params, seed, base, threads, rec):
                       f"exact {rep.exact:.6f} vs bound {rep.bound:.5f}")
         summary[str(n_steps)] = {"q_hat": _estimate_dict(e),
                                  "bound": rep.bound, "exact": rep.exact}
-    rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["n_steps", "q_hat", "stderr", "ci_low", "ci_high",
-                            "bound", "exact"], list(zip(*rows)))
     summary["spec"] = {"values": list(spec.values), "probs": list(spec.probs),
                        "mu": spec.mu, "sigma": spec.sigma, "delta": spec.delta}
-    return summary
+    return (["n_steps", "q_hat", "stderr", "ci_low", "ci_high", "bound",
+             "exact"], list(zip(*rows)), summary)
 
 
-def _run_sandwich(params, seed, base, threads, rec):
-    schema = (_Schema("sandwich")
-              .add("p", float, **_FIELD_P)
-              .add("v", (list, int), low=1, high=4000)
-              .add("s", float, low=0.0, open_low=True)
-              .add("replicas", int, low=2))
-    q = schema.parse(params)
+@_experiment("sandwich", _P,
+             _field("v", [int], low=1, high=4000,
+                    cli=dict(nargs=2, default=(200, 200))),
+             _field("s", float, low=0.0, open_low=True,
+                    cli=dict(required=True)),
+             _replicas(2, 200))
+def _run_sandwich(q, seed, rec):
+    """Frequency of the stationary sandwich around the origin column."""
     if len(q["v"]) != 2:
         raise ConfigError(f'invalid value for "v" in sandwich: expected two '
                           f"components, got {q['v']}")
     try:
         rep = sandwich_experiment(q["p"], tuple(q["v"]), q["s"], q["replicas"],
-                                  seed, threads)
+                                  seed)
     except ValueError as exc:
         raise ConfigError(f'invalid value for "s"/"v" in sandwich: {exc}'
                           ) from None
-    rec.outputs.append(path := base + ".csv")
-    rows = [["k", rep.k], ["lam_minus", rep.lam_minus],
-            ["lam_plus", rep.lam_plus],
-            ["lam_hat_plus", rep.lam_hat_plus],
-            ["frequency", rep.frequency.estimate],
-            ["frequency_ci_low", rep.frequency.ci_low],
-            ["frequency_ci_high", rep.frequency.ci_high],
-            ["y_mean", rep.y_mean.estimate],
-            ["y_mean_stderr", rep.y_mean.stderr]]
-    write_csv_atomic(path, ["field", "value"], list(zip(*rows)))
     rec.check("y_mean_nonnegative",
               rep.y_mean.estimate >= -3.0 * rep.y_mean.stderr,
               f"mean {rep.y_mean.estimate:.4f} se {rep.y_mean.stderr:.4f}")
-    return {"k": rep.k, "frequency": _estimate_dict(rep.frequency),
-            "y_mean": _estimate_dict(rep.y_mean),
-            "lam": [rep.lam_minus, rep.lam_plus, rep.lam_hat_plus]}
+    return (["field", "value"],
+            [("k", "lam_minus", "lam_plus", "lam_hat_plus", "frequency",
+              "frequency_ci_low", "frequency_ci_high", "y_mean",
+              "y_mean_stderr"),
+             (rep.k, rep.lam_minus, rep.lam_plus, rep.lam_hat_plus,
+              rep.frequency.estimate, rep.frequency.ci_low,
+              rep.frequency.ci_high, rep.y_mean.estimate,
+              rep.y_mean.stderr)],
+            {"k": rep.k, "frequency": _estimate_dict(rep.frequency),
+             "y_mean": _estimate_dict(rep.y_mean),
+             "lam": [rep.lam_minus, rep.lam_plus, rep.lam_hat_plus]})
 
 
-def _run_noise_compare(params, seed, base, threads, rec):
-    schema = (_Schema("noise-compare")
-              .add("p", float, **_FIELD_P)
-              .add("n", int, low=2, high=4000)
-              .add("t", float, low=0.0)
-              .add("replicas", int, low=30))
-    q = schema.parse(params)
+@_experiment("noise-compare", _P,
+             _field("n", int, low=2, high=4000, cli=dict(default=100)),
+             _field("t", float, low=0.0, cli=dict(default=0.1)),
+             _replicas(30, 200))
+def _run_noise_compare(q, seed, rec):
+    """Bit dynamics at t against site dynamics at M t, coupled."""
     try:
-        res = noise_comparison(q["p"], q["n"], q["t"], q["replicas"], seed,
-                               threads)
+        res = noise_comparison(q["p"], q["n"], q["t"], q["replicas"], seed)
     except ValueError as exc:
         raise ConfigError(f'invalid value for "t" in noise-compare: {exc}'
                           ) from None
-    rec.outputs.append(path := base + ".csv")
-    rows = [["cap", res.cap],
-            ["corr_bit_t", res.corr_bit.estimate],
-            ["corr_site_Mt", res.corr_site.estimate],
-            ["corr_diff", res.corr_diff.estimate],
-            ["corr_diff_ci_low", res.corr_diff.ci_low],
-            ["corr_diff_ci_high", res.corr_diff.ci_high],
-            ["cov_capped_bit", res.cov_capped_bit],
-            ["cov_capped_site", res.cov_capped_site],
-            ["cap_gap_fraction", res.cap_gap_fraction]]
-    write_csv_atomic(path, ["metric", "value"], list(zip(*rows)))
     if q["t"] == 0.0:
         rec.check("correlations_exactly_one_at_t0",
                   res.corr_bit.estimate == 1.0
                   and res.corr_site.estimate == 1.0)
-    return {"cap": res.cap, "corr_bit_t": _estimate_dict(res.corr_bit),
-            "corr_site_Mt": _estimate_dict(res.corr_site),
-            "corr_diff": _estimate_dict(res.corr_diff),
-            "cov_capped_bit": res.cov_capped_bit,
-            "cov_capped_site": res.cov_capped_site,
-            "cap_gap_fraction": res.cap_gap_fraction,
-            "site_not_less_destructive":
-                res.corr_site.estimate
-                <= res.corr_bit.estimate + 2.0 * res.corr_bit.stderr}
+    return (["metric", "value"],
+            [("cap", "corr_bit_t", "corr_site_Mt", "corr_diff",
+              "corr_diff_ci_low", "corr_diff_ci_high", "cov_capped_bit",
+              "cov_capped_site", "cap_gap_fraction"),
+             (res.cap, res.corr_bit.estimate, res.corr_site.estimate,
+              res.corr_diff.estimate, res.corr_diff.ci_low,
+              res.corr_diff.ci_high, res.cov_capped_bit, res.cov_capped_site,
+              res.cap_gap_fraction)],
+            {"cap": res.cap, "corr_bit_t": _estimate_dict(res.corr_bit),
+             "corr_site_Mt": _estimate_dict(res.corr_site),
+             "corr_diff": _estimate_dict(res.corr_diff),
+             "cov_capped_bit": res.cov_capped_bit,
+             "cov_capped_site": res.cov_capped_site,
+             "cap_gap_fraction": res.cap_gap_fraction,
+             "site_not_less_destructive":
+                 res.corr_site.estimate
+                 <= res.corr_bit.estimate + 2.0 * res.corr_bit.stderr})
 
 
-def _run_influence_map(params, seed, base, threads, rec):
-    schema = (_Schema("influence-map")
-              .add("p", float, **_FIELD_P)
-              .add("n", int, low=2, high=64)
-              .add("replicas", int, low=30)
-              .add("i_max", int, default=8, low=0, high=63)
-              .add("delta", float, default=0.5, low=0.0, high=1.0,
-                   open_low=True))
-    q = schema.parse(params)
+@_experiment("influence-map", _P,
+             _field("n", int, low=2, high=64, cli=dict(default=16)),
+             _replicas(30, 500),
+             _field("i_max", int, 8, low=0, high=63, cli=dict(default=8)),
+             _field("delta", float, 0.5, low=0.0, high=1.0, open_low=True))
+def _run_influence_map(q, seed, rec):
+    """Per-bit influences on T_n against geodesic visit probabilities."""
     table = visit_vs_influence(q["p"], q["n"], q["replicas"], seed,
-                               i_max=q["i_max"], delta=q["delta"],
-                               threads=threads)
+                               i_max=q["i_max"], delta=q["delta"])
     influences = np.array([r.bit_influences for r in table], dtype=float)
     site, bit = np.indices(influences.shape).reshape(2, -1)
     v = np.array([r.v for r in table], dtype=np.int64)[site]
-    rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["v1", "v2", "bit", "influence"],
-                     [v[:, 0], v[:, 1], bit, influences.ravel()])
-    return {"sites": [{"v": list(r.v),
-                       "visit_freq": _estimate_dict(r.visit_freq),
-                       "influence_sq_sum": r.influence_sq_sum,
-                       "ratio": r.ratio} for r in table],
-            "max_ratio": max(r.ratio for r in table),
-            "delta": q["delta"]}
+    return (["v1", "v2", "bit", "influence"],
+            [v[:, 0], v[:, 1], bit, influences.ravel()],
+            {"sites": [{"v": list(r.v),
+                        "visit_freq": _estimate_dict(r.visit_freq),
+                        "influence_sq_sum": r.influence_sq_sum,
+                        "ratio": r.ratio} for r in table],
+             "max_ratio": max(r.ratio for r in table),
+             "delta": q["delta"]})
 
 
-def _run_bks_verify(params, seed, base, threads, rec):
-    schema = (_Schema("bks-verify")
-              .add("m", int, low=1, high=12)
-              .add("p", float, low=0.0, high=1.0, open_low=True, open_high=True)
-              .add("t", float, low=0.0)
-              .add("trials", int, low=1))
-    q = schema.parse(params)
+@_experiment("bks-verify",
+             _field("m", int, low=1, high=12,
+                    cli=dict(required=True, help="Number of coordinates.")),
+             _field("p", float, low=0.0, high=1.0, open_low=True,
+                    open_high=True,
+                    cli=dict(required=True, help="Bit bias in (0, 1).")),
+             _field("t", float, low=0.0,
+                    cli=dict(required=True, help="Noise time.")),
+             _field("trials", int, low=1, high=100_000, cli=dict(default=100)))
+def _run_bks_verify(q, seed, rec):
+    """Exact noisy-covariance bound trials on random functions."""
     rows, stated_fails = [], 0
     for trial in range(q["trials"]):
         rng = np.random.default_rng(derive_seed(seed, Stream.GENERIC, trial))
@@ -448,28 +473,26 @@ def _run_bks_verify(params, seed, base, threads, rec):
         if not rep.proof_holds:
             rec.check(f"proof_form_trial_{trial}", False,
                       f"lhs {rep.lhs} > rhs_proof {rep.rhs_proof}")
-    rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["trial", "m", "p", "t", "theta", "lhs",
-                            "rhs_stated", "rhs_proof", "margin_stated",
-                            "margin_proof", "stated_holds", "proof_holds"],
-                     list(zip(*rows)))
     rec.check("proof_form_all_trials",
               all(r[11] for r in rows), f"{q['trials']} trials")
     if stated_fails:
         click.echo(f"note: stated-form violations in {stated_fails} trials "
                    "(reported, not asserted)", err=True)
-    return {"trials": q["trials"], "stated_violations": stated_fails,
-            "proof_violations": sum(not r[11] for r in rows)}
+    return (["trial", "m", "p", "t", "theta", "lhs", "rhs_stated",
+             "rhs_proof", "margin_stated", "margin_proof", "stated_holds",
+             "proof_holds"], list(zip(*rows)),
+            {"trials": q["trials"], "stated_violations": stated_fails,
+             "proof_violations": sum(not r[11] for r in rows)})
 
 
-def _run_dump_field(params, seed, base, threads, rec):
-    schema = (_Schema("dump-field")
-              .add("p", float, **_FIELD_P)
-              .add("lo", (list, int), **_COORD)
-              .add("hi", (list, int), **_COORD)
-              .add("t", float, default=None, low=0.0)
-              .add("kind", str, default="BIT"))
-    q = schema.parse(params)
+@_experiment("dump-field", _P,
+             _field("lo", [int], **_COORD, cli=dict(nargs=2, default=(0, 0))),
+             _field("hi", [int], **_COORD, cli=dict(nargs=2, required=True)),
+             _field("t", float, None, low=0.0,
+                    cli=dict(help="Also dump the noisy weights at this time.")),
+             _KIND)
+def _run_dump_field(q, seed, rec):
+    """Dump the keyed weight field on a rectangle."""
     if len(q["lo"]) != 2 or len(q["hi"]) != 2:
         raise ConfigError('invalid value for "lo"/"hi" in dump-field: '
                           "expected two components each")
@@ -489,16 +512,13 @@ def _run_dump_field(params, seed, base, threads, rec):
     if q["t"] is not None:
         cols.append(noisy_weights(NoisyPair(cfg, q["t"], kind)).ravel())
         header.append("noisy_weight")
-    rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, header, cols)
-    return {"shape": list(w.shape), "total_weight": int(w.sum())}
+    return header, cols, {"shape": list(w.shape), "total_weight": int(w.sum())}
 
 
-def _run_dump_geodesic(params, seed, base, threads, rec):
-    schema = (_Schema("dump-geodesic")
-              .add("p", float, **_FIELD_P)
-              .add("n", int, low=1, high=2000))
-    q = schema.parse(params)
+@_experiment("dump-geodesic", _P,
+             _field("n", int, low=1, high=2000, cli=dict(default=50)))
+def _run_dump_geodesic(q, seed, rec):
+    """Dump the geodesic set and extreme paths of one field."""
     n = q["n"]
     w = weights(WeightConfig(q["p"], seed, Rect((0, 0), (n, n))))
     rep = geodesic_report(w)
@@ -507,64 +527,44 @@ def _run_dump_geodesic(params, seed, base, threads, rec):
         on_path[k][geo[:, 0], geo[:, 1]] = 1
     x1, x2 = np.indices(w.shape).reshape(2, -1)
     on_geodesic = rep.member_mask.astype(np.int64).ravel()
-    rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["x1", "x2", "weight", "on_geodesic", "on_upmost",
-                            "on_downmost"],
-                     [x1, x2, w.ravel(), on_geodesic, on_path[0].ravel(),
-                      on_path[1].ravel()])
     rec.check("paths_inside_geodesic_set",
               bool(rep.member_mask[on_path.any(axis=0)].all()))
-    return {"travel_time": rep.value,
-            "geodesic_sites": int(rep.member_mask.sum())}
+    return (["x1", "x2", "weight", "on_geodesic", "on_upmost", "on_downmost"],
+            [x1, x2, w.ravel(), on_geodesic, on_path[0].ravel(),
+             on_path[1].ravel()],
+            {"travel_time": rep.value,
+             "geodesic_sites": int(rep.member_mask.sum())})
 
 
-def _run_dump_stationary(params, seed, base, threads, rec):
-    schema = (_Schema("dump-stationary")
-              .add("p", float, **_FIELD_P)
-              .add("lam", float, low=0.0, high=1.0, open_low=True,
-                   open_high=True)
-              .add("rows", int, low=1, high=2000)
-              .add("cols", int, low=1, high=2000))
-    q = schema.parse(params)
+@_experiment("dump-stationary", _P, _LAM,
+             _field("rows", int, low=1, high=2000, cli=dict(default=50)),
+             _field("cols", int, low=1, high=2000, cli=dict(default=50)))
+def _run_dump_stationary(q, seed, rec):
+    """Dump one stationary boundary field and its passage table."""
     sf = build_stationary(q["p"], q["lam"], (q["rows"], q["cols"]), seed)
     x1, x2 = np.indices(sf.G.shape).reshape(2, -1)
-    rec.outputs.append(path := base + ".csv")
-    write_csv_atomic(path, ["x1", "x2", "G", "relative_weight"],
-                     [x1, x2, sf.G.ravel(), sf.grid.ravel()])
     rec.check("domination_exact", sf.domination_holds())
     par = sf.params
-    return {"q": par.q, "p_h": par.p_h, "p_v": par.p_v,
-            "direction": list(par.direction)}
+    return (["x1", "x2", "G", "relative_weight"],
+            [x1, x2, sf.G.ravel(), sf.grid.ravel()],
+            {"q": par.q, "p_h": par.p_h, "p_v": par.p_v,
+             "direction": list(par.direction)})
 
 
-_RUNNERS = {
-    "corr-decay": _run_corr_decay,
-    "variance-scaling": _run_variance_scaling,
-    "transversal": _run_transversal,
-    "geodesic-heatmap": _run_geodesic_heatmap,
-    "stationary-checks": _run_stationary_checks,
-    "rw-bound": _run_rw_bound,
-    "sandwich": _run_sandwich,
-    "noise-compare": _run_noise_compare,
-    "influence-map": _run_influence_map,
-    "bks-verify": _run_bks_verify,
-    "dump-field": _run_dump_field,
-    "dump-geodesic": _run_dump_geodesic,
-    "dump-stationary": _run_dump_stationary,
-}
-
-
-def _execute(name: str, params: dict, seed: int, out_dir: str, threads: int,
+def _execute(name: str, params: dict, seed: int, out_dir: str,
              prefix: str = "") -> ExperimentRecord:
-    if threads == 0:
-        threads = os.cpu_count() or 1
+    exp = _EXPERIMENTS[name]
     rec = ExperimentRecord(name=name, params=dict(params))
-    stem = (prefix + name).replace("-", "_")
-    base = os.path.join(out_dir, stem)
+    base = os.path.join(out_dir, (prefix + name).replace("-", "_"))
     try:
-        summary = _RUNNERS[name](params, seed, base, threads, rec)
+        header, columns, summary = exp.runner(
+            _parse(name, exp.fields, params), seed, rec)
+        rec.outputs.append(base + ".csv")
+        write_csv_atomic(base + ".csv", header, columns)
     except ValueError as exc:  # parameters the library rejects
         raise ConfigError(f"invalid parameters for {name}: {exc}") from None
+    except MemoryError as exc:
+        raise ConfigError(f"out of memory for {name}: {exc}") from None
     summary = {"name": name, "seed": seed, "params": params,
                "passed": rec.passed,
                "assertions": rec.assertions, **summary}
@@ -580,9 +580,9 @@ def _exit(records: list[ExperimentRecord]) -> None:
     sys.exit(2 if failed else 0)
 
 
-def _single(name: str, params: dict, seed: int, out: str, threads: int) -> None:
+def _single(name: str, params: dict, seed: int, out: str) -> None:
     try:
-        rec = _execute(name, params, seed, out, threads)
+        rec = _execute(name, params, seed, out)
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(1)
@@ -591,15 +591,10 @@ def _single(name: str, params: dict, seed: int, out: str, threads: int) -> None:
     _exit([rec])
 
 
-_seed_opt = click.option("--seed", type=int, default=0, show_default=True,
-                         help="Master seed; every output is a pure function "
-                              "of seed and parameters.")
-_out_opt = click.option("--out", type=click.Path(), default="lppnoise-out",
-                        show_default=True, help="Output directory.")
-_threads_opt = click.option("--threads", type=int, default=1,
-                            show_default=True,
-                            help="Worker threads (0 = all cores); results "
-                                 "are identical for any value.")
+# Replicas run one after another: a thread pool gave at most 1.16x on two
+# cores, so the flag is kept only so that existing command lines still run.
+_THREADS = dict(type=int, default=1, show_default=True, expose_value=False,
+                help="No-op; accepted for compatibility.")
 
 
 @click.group()
@@ -616,8 +611,8 @@ def main() -> None:
               help="Override the config seed.")
 @click.option("--out", type=click.Path(), default=None,
               help="Override the config output_dir.")
-@_threads_opt
-def run_cmd(config, seed, out, threads) -> None:
+@click.option("--threads", **_THREADS)
+def run_cmd(config, seed, out) -> None:
     """Run every experiment listed in a JSON config file."""
     try:
         try:
@@ -655,10 +650,10 @@ def run_cmd(config, seed, out, threads) -> None:
                     raise ConfigError(f'unknown field "{key}" in experiment '
                                       f"#{k}")
             name = entry["name"]
-            if name not in _RUNNERS:
+            if name not in _EXPERIMENTS:
                 raise ConfigError(
                     f'unknown experiment name "{name}" in experiment #{k}; '
-                    f"known: {sorted(_RUNNERS)}")
+                    f"known: {sorted(_EXPERIMENTS)}")
             params = entry.get("params", {})
             if not isinstance(params, dict):
                 raise ConfigError(f'invalid value for "params" in experiment '
@@ -674,7 +669,7 @@ def run_cmd(config, seed, out, threads) -> None:
         manifest.start()
         os.makedirs(out_dir, exist_ok=True)
         for k, name, params, sub_seed in plan:
-            rec = _execute(name, params, sub_seed, out_dir, threads,
+            rec = _execute(name, params, sub_seed, out_dir,
                            prefix=f"{k:02d}_")
             manifest.experiments.append(rec)
             click.echo(f"[{k}] {name}: {'ok' if rec.passed else 'FAILED'}")
@@ -686,202 +681,35 @@ def run_cmd(config, seed, out, threads) -> None:
     _exit(manifest.experiments)
 
 
-@main.command("bks-verify")
-@click.option("--m", type=int, required=True, help="Number of coordinates.")
-@click.option("--p", type=float, required=True, help="Bit bias in (0, 1).")
-@click.option("--t", type=float, required=True, help="Noise time.")
-@click.option("--trials", type=int, default=100, show_default=True)
-@_seed_opt
-@_out_opt
-@_threads_opt
-def bks_verify_cmd(m, p, t, trials, seed, out, threads) -> None:
-    """Exact noisy-covariance bound trials on random functions."""
-    _single("bks-verify", {"m": m, "p": p, "t": t, "trials": trials}, seed,
-            out, threads)
+def _option(f: _Field) -> click.Option:
+    kw = {"type": f.kind, "multiple": f.many and "nargs" not in f.cli,
+          "show_default": "default" in f.cli, **f.cli}
+    return click.Option([f.flag, f.key], **kw)
 
 
-@main.command("corr-decay")
-@click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--n", type=int, default=100, show_default=True)
-@click.option("--t", "t_values", type=float, multiple=True,
-              default=(0.0, 0.25, 1.0, 4.0), show_default=True)
-@click.option("--kind", type=click.Choice(["BIT", "SITE"], case_sensitive=False),
-              default="BIT", show_default=True)
-@click.option("--replicas", type=int, default=200, show_default=True)
-@_seed_opt
-@_out_opt
-@_threads_opt
-def corr_decay_cmd(p, n, t_values, kind, replicas, seed, out, threads) -> None:
-    """Correlation of T_n between a field and its noisy version."""
-    _single("corr-decay", {"p": p, "n": n, "t_values": list(t_values),
-                           "kind": kind, "replicas": replicas}, seed, out,
-            threads)
+def _command(exp: _Experiment) -> click.Command:
+    """The experiment's command: one option per field with a flag."""
+    def callback(seed, out, **values):
+        params = {}
+        for f in exp.fields:
+            value = values.get(f.key)
+            if value is not None and value != ():   # not given, no default
+                params[f.key] = list(value) if f.many else value
+        _single(exp.name, params, seed, out)
+
+    options = [_option(f) for f in exp.fields if f.cli is not None] + [
+        click.Option(["--seed"], type=int, default=0, show_default=True,
+                     help="Master seed; every output is a pure function of "
+                          "seed and parameters."),
+        click.Option(["--out"], type=click.Path(), default="lppnoise-out",
+                     show_default=True, help="Output directory."),
+        click.Option(["--threads"], **_THREADS)]
+    return click.Command(exp.name, callback=callback, params=options,
+                         help=exp.doc)
 
 
-@main.command("variance-scaling")
-@click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--n", "n_list", type=int, multiple=True,
-              default=(64, 128, 256, 512), show_default=True)
-@click.option("--replicas", type=int, default=500, show_default=True)
-@_seed_opt
-@_out_opt
-@_threads_opt
-def variance_scaling_cmd(p, n_list, replicas, seed, out, threads) -> None:
-    """Slope of log Var(T_n) against log n."""
-    _single("variance-scaling", {"p": p, "n_list": list(n_list),
-                                 "replicas": replicas}, seed, out, threads)
-
-
-@main.command("transversal")
-@click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--n", "n_list", type=int, multiple=True,
-              default=(64, 128, 256, 512), show_default=True)
-@click.option("--replicas", type=int, default=500, show_default=True)
-@click.option("--envelope-width", "envelope_widths", type=int, multiple=True,
-              help="Also record envelope containment at these widths.")
-@_seed_opt
-@_out_opt
-@_threads_opt
-def transversal_cmd(p, n_list, replicas, envelope_widths, seed, out,
-                    threads) -> None:
-    """Slope of the upmost geodesic's midline deviation against n."""
-    params = {"p": p, "n_list": list(n_list), "replicas": replicas}
-    if envelope_widths:
-        params["envelope_widths"] = list(envelope_widths)
-    _single("transversal", params, seed, out, threads)
-
-
-@main.command("geodesic-heatmap")
-@click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--n", type=int, default=100, show_default=True)
-@click.option("--replicas", type=int, default=500, show_default=True)
-@_seed_opt
-@_out_opt
-@_threads_opt
-def geodesic_heatmap_cmd(p, n, replicas, seed, out, threads) -> None:
-    """Visit frequencies of the geodesic set of T_n."""
-    _single("geodesic-heatmap", {"p": p, "n": n, "replicas": replicas}, seed,
-            out, threads)
-
-
-@main.command("stationary-checks")
-@click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--lam", type=float, default=0.5, show_default=True)
-@click.option("--rows", type=int, default=200, show_default=True)
-@click.option("--cols", type=int, default=200, show_default=True)
-@click.option("--gof-samples", type=int, default=20000, show_default=True)
-@_seed_opt
-@_out_opt
-@_threads_opt
-def stationary_checks_cmd(p, lam, rows, cols, gof_samples, seed, out,
-                          threads) -> None:
-    """Exact boundary-model identities plus Burke marginal tests."""
-    _single("stationary-checks", {"p": p, "lam": lam, "rows": rows,
-                                  "cols": cols, "gof_samples": gof_samples},
-            seed, out, threads)
-
-
-@main.command("rw-bound")
-@click.option("--value", "values", type=int, multiple=True, required=True)
-@click.option("--prob", "probs", type=float, multiple=True, required=True)
-@click.option("--steps", "n_steps", type=int, multiple=True,
-              default=(100, 1000, 10000), show_default=True)
-@click.option("--replicas", type=int, default=20000, show_default=True)
-@_seed_opt
-@_out_opt
-@_threads_opt
-def rw_bound_cmd(values, probs, n_steps, replicas, seed, out, threads) -> None:
-    """Stay-nonnegative probability of a drifted walk against its bound."""
-    _single("rw-bound", {"values": list(values), "probs": list(probs),
-                         "n_steps": list(n_steps), "replicas": replicas},
-            seed, out, threads)
-
-
-@main.command("sandwich")
-@click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--v", type=int, nargs=2, default=(200, 200), show_default=True)
-@click.option("--s", type=float, required=True)
-@click.option("--replicas", type=int, default=200, show_default=True)
-@_seed_opt
-@_out_opt
-@_threads_opt
-def sandwich_cmd(p, v, s, replicas, seed, out, threads) -> None:
-    """Frequency of the stationary sandwich around the origin column."""
-    _single("sandwich", {"p": p, "v": list(v), "s": s, "replicas": replicas},
-            seed, out, threads)
-
-
-@main.command("noise-compare")
-@click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--n", type=int, default=100, show_default=True)
-@click.option("--t", type=float, default=0.1, show_default=True)
-@click.option("--replicas", type=int, default=200, show_default=True)
-@_seed_opt
-@_out_opt
-@_threads_opt
-def noise_compare_cmd(p, n, t, replicas, seed, out, threads) -> None:
-    """Bit dynamics at t against site dynamics at M t, coupled."""
-    _single("noise-compare", {"p": p, "n": n, "t": t, "replicas": replicas},
-            seed, out, threads)
-
-
-@main.command("influence-map")
-@click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--n", type=int, default=16, show_default=True)
-@click.option("--replicas", type=int, default=500, show_default=True)
-@click.option("--i-max", type=int, default=8, show_default=True)
-@_seed_opt
-@_out_opt
-@_threads_opt
-def influence_map_cmd(p, n, replicas, i_max, seed, out, threads) -> None:
-    """Per-bit influences on T_n against geodesic visit probabilities."""
-    _single("influence-map", {"p": p, "n": n, "replicas": replicas,
-                              "i_max": i_max}, seed, out, threads)
-
-
-@main.command("dump-field")
-@click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--lo", type=int, nargs=2, default=(0, 0), show_default=True)
-@click.option("--hi", type=int, nargs=2, required=True)
-@click.option("--t", type=float, default=None,
-              help="Also dump the noisy weights at this time.")
-@click.option("--kind", type=click.Choice(["BIT", "SITE"],
-                                          case_sensitive=False),
-              default="BIT", show_default=True)
-@_seed_opt
-@_out_opt
-@_threads_opt
-def dump_field_cmd(p, lo, hi, t, kind, seed, out, threads) -> None:
-    """Dump the keyed weight field on a rectangle."""
-    params = {"p": p, "lo": list(lo), "hi": list(hi), "kind": kind}
-    if t is not None:
-        params["t"] = t
-    _single("dump-field", params, seed, out, threads)
-
-
-@main.command("dump-geodesic")
-@click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--n", type=int, default=50, show_default=True)
-@_seed_opt
-@_out_opt
-@_threads_opt
-def dump_geodesic_cmd(p, n, seed, out, threads) -> None:
-    """Dump the geodesic set and extreme paths of one field."""
-    _single("dump-geodesic", {"p": p, "n": n}, seed, out, threads)
-
-
-@main.command("dump-stationary")
-@click.option("--p", type=float, default=0.5, show_default=True)
-@click.option("--lam", type=float, default=0.5, show_default=True)
-@click.option("--rows", type=int, default=50, show_default=True)
-@click.option("--cols", type=int, default=50, show_default=True)
-@_seed_opt
-@_out_opt
-@_threads_opt
-def dump_stationary_cmd(p, lam, rows, cols, seed, out, threads) -> None:
-    """Dump one stationary boundary field and its passage table."""
-    _single("dump-stationary", {"p": p, "lam": lam, "rows": rows,
-                                "cols": cols}, seed, out, threads)
+for _exp in _EXPERIMENTS.values():
+    main.add_command(_command(_exp))
 
 
 if __name__ == "__main__":

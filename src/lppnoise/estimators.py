@@ -1,8 +1,7 @@
 """Monte Carlo experiments and exact brute-force estimators.
 
 Every experiment derives one sub-seed per replica from its master seed,
-so results are pure functions of ``(seed, parameters)`` and identical
-regardless of how replicas are scheduled across threads.  Paired
+so results are pure functions of ``(seed, parameters)``.  Paired
 designs (noise correlations across several times, coupled dynamics)
 reuse the same replica sub-seed so all coupling happens through the
 keyed randomness itself.
@@ -11,7 +10,6 @@ keyed randomness itself.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,11 +137,16 @@ def pearson_ci_calibration(rho: float, n_pairs: int, trials: int,
     return covered
 
 
-def _replica_map(fn, replicas: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(r) for r in range(replicas)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(replicas)))
+def _bootstrap(seed: int, n_boot: int, sizes, stat) -> np.ndarray:
+    """``n_boot`` bootstrap values of ``stat``.  Resample ``b`` draws
+    ``rng.integers(0, m, m)`` for each ``m`` in ``sizes``, in order, from
+    one generator seeded with ``seed``; its value is ``stat`` of those
+    index arrays."""
+    rng = np.random.default_rng(seed)
+    boots = np.empty(n_boot)
+    for b in range(n_boot):
+        boots[b] = stat(*[rng.integers(0, m, m) for m in sizes])
+    return boots
 
 
 def _square(n: int) -> Rect:
@@ -166,6 +169,20 @@ class CorrDecayResult:
     samples: np.ndarray = None
 
 
+def _corr_diff(base, a, b, idx) -> float:
+    """corr(base, a) - corr(base, b) on the resampled rows ``idx``."""
+    return (np.corrcoef(base[idx], a[idx])[0, 1]
+            - np.corrcoef(base[idx], b[idx])[0, 1])
+
+
+def _boot_estimate(point: float, boots: np.ndarray,
+                   samples: int) -> EstimateWithCI:
+    """``point`` with the bootstrap standard error and percentile CI."""
+    lo, hi = np.percentile(boots, [2.5, 97.5])
+    return EstimateWithCI(point, float(boots.std(ddof=1)), float(lo),
+                          float(hi), samples)
+
+
 def corr_difference_ci(res: CorrDecayResult, k: int, l: int,
                        n_boot: int = 1000) -> EstimateWithCI:
     """Bootstrap CI for corr(T, T^{t_k}) - corr(T, T^{t_l}).
@@ -177,20 +194,13 @@ def corr_difference_ci(res: CorrDecayResult, k: int, l: int,
         raise ValueError("need stored samples and valid time indices")
     base, a, b = x[:, 0], x[:, 1 + k], x[:, 1 + l]
     diff = float(np.corrcoef(base, a)[0, 1] - np.corrcoef(base, b)[0, 1])
-    rng = np.random.default_rng(derive_seed(res.seed, Stream.GENERIC, 10**6))
-    boots = np.empty(n_boot)
-    m = base.size
-    for j in range(n_boot):
-        idx = rng.integers(0, m, m)
-        boots[j] = (np.corrcoef(base[idx], a[idx])[0, 1]
-                    - np.corrcoef(base[idx], b[idx])[0, 1])
-    lo, hi = np.percentile(boots, [2.5, 97.5])
-    return EstimateWithCI(diff, float(boots.std(ddof=1)), float(lo),
-                          float(hi), m)
+    boots = _bootstrap(derive_seed(res.seed, Stream.GENERIC, 10**6), n_boot,
+                       [base.size], lambda i: _corr_diff(base, a, b, i))
+    return _boot_estimate(diff, boots, base.size)
 
 
 def corr_decay(p: float, n: int, t_values, kind: NoiseKind, replicas: int,
-               seed: int, threads: int = 1) -> CorrDecayResult:
+               seed: int) -> CorrDecayResult:
     """corr(T_n(omega), T_n(omega^t)) over a grid of noise times.
 
     One base field per replica; all times share its randomness (common
@@ -210,7 +220,7 @@ def corr_decay(p: float, n: int, t_values, kind: NoiseKind, replicas: int,
         cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r), _square(n))
         return travel_time(noisy_stack(cfg, times, kind))[cols]
 
-    rows = np.array(_replica_map(one, replicas, threads), dtype=np.float64)
+    rows = np.array([one(r) for r in range(replicas)], dtype=np.float64)
     ests = tuple(pearson_estimate(rows[:, 0], rows[:, 1 + k])
                  for k in range(len(t_values)))
     return CorrDecayResult(p, n, kind, t_values, ests, replicas, seed, rows)
@@ -237,12 +247,12 @@ def _bootstrap_slope(log_n: np.ndarray, samples: list[np.ndarray], stat_fn,
     if (point <= 0).any():
         raise ValueError("statistic must be positive for a log-log fit")
     slope = float(np.polyfit(log_n, np.log(point), 1)[0])
-    rng = np.random.default_rng(seed)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        ys = np.array([stat_fn(s[rng.integers(0, s.size, s.size)])
-                       for s in samples])
-        boots[b] = np.polyfit(log_n, np.log(np.maximum(ys, 1e-300)), 1)[0]
+
+    def refit(*idx):
+        ys = np.array([stat_fn(s[i]) for s, i in zip(samples, idx)])
+        return np.polyfit(log_n, np.log(np.maximum(ys, 1e-300)), 1)[0]
+
+    boots = _bootstrap(seed, n_boot, [s.size for s in samples], refit)
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return ExponentFit(tuple(int(np.exp(v) + 0.5) for v in log_n),
                        tuple(point), slope, float(lo), float(hi), n_boot)
@@ -258,7 +268,7 @@ class VarianceScalingResult:
 
 
 def variance_scaling(p: float, n_list, replicas: int, seed: int,
-                     n_boot: int = 1000, threads: int = 1) -> VarianceScalingResult:
+                     n_boot: int = 1000) -> VarianceScalingResult:
     """Var(T_n) against n on a log-log scale (KPZ exponent 2/3)."""
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -271,7 +281,7 @@ def variance_scaling(p: float, n_list, replicas: int, seed: int,
         def one(r: int, n=n, pos=pos) -> float:
             sub = derive_seed(seed, Stream.REPLICA, pos * replicas + r)
             return float(travel_time(weights(WeightConfig(p, sub, _square(n)))))
-        samples.append(np.array(_replica_map(one, replicas, threads)))
+        samples.append(np.array([one(r) for r in range(replicas)]))
     fit = _bootstrap_slope(np.log(np.array(n_list, dtype=float)), samples,
                            lambda s: s.var(ddof=1), n_boot,
                            derive_seed(seed, Stream.GENERIC, 10**6))
@@ -290,20 +300,16 @@ class HeatmapResult:
     seed: int
 
 
-def geodesic_heatmap(p: float, n: int, replicas: int, seed: int,
-                     threads: int = 1) -> HeatmapResult:
+def geodesic_heatmap(p: float, n: int, replicas: int,
+                     seed: int) -> HeatmapResult:
     """Per-site visit counts of the full geodesic set of T_n."""
     if replicas < 1:
         raise ValueError("need at least one replica")
 
-    def one(r: int) -> np.ndarray:
-        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r), _square(n))
-        return geodesic_report(weights(cfg)).member_mask
-
-    masks = _replica_map(one, replicas, threads)
     counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for m in masks:
-        counts += m
+    for r in range(replicas):
+        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r), _square(n))
+        counts += geodesic_report(weights(cfg)).member_mask
     return HeatmapResult(p, n, replicas, counts, seed)
 
 
@@ -335,7 +341,7 @@ class TransversalResult:
 
 
 def transversal_exponent(p: float, n_list, replicas: int, seed: int,
-                         n_boot: int = 1000, threads: int = 1) -> TransversalResult:
+                         n_boot: int = 1000) -> TransversalResult:
     """Median midline deviation of the upmost geodesic against n.
 
     The statistic at scale n is max |x2 - n/2| over the points of the
@@ -354,7 +360,7 @@ def transversal_exponent(p: float, n_list, replicas: int, seed: int,
             path = extreme_path(forward_table(w), w, upmost=True)
             mid = path[path[:, 0] == n // 2, 1]
             return float(np.max(np.abs(mid - n / 2.0)))
-        samples.append(np.array(_replica_map(one, replicas, threads)))
+        samples.append(np.array([one(r) for r in range(replicas)]))
     fit = _bootstrap_slope(np.log(np.array(n_list, dtype=float)), samples,
                            lambda s: float(np.median(s)), n_boot,
                            derive_seed(seed, Stream.GENERIC, 10**6 + 1))
@@ -362,8 +368,7 @@ def transversal_exponent(p: float, n_list, replicas: int, seed: int,
 
 
 def envelope_frequencies(p: float, n: int, widths, replicas: int, seed: int,
-                         alpha: float = 0.75,
-                         threads: int = 1) -> list[tuple[int, EstimateWithCI]]:
+                         alpha: float = 0.75) -> list[tuple[int, EstimateWithCI]]:
     """P(the whole geodesic set stays in the antidiagonal envelope
     |v2 - v1| <= min(|v|_1, 2n - |v|_1)^alpha + width)."""
     widths = [int(w) for w in widths]
@@ -376,7 +381,7 @@ def envelope_frequencies(p: float, n: int, widths, replicas: int, seed: int,
         mask = geodesic_report(weights(cfg)).member_mask
         return np.array([not (mask & (margin > w)).any() for w in widths])
 
-    inside = np.array(_replica_map(one, replicas, threads))
+    inside = np.array([one(r) for r in range(replicas)])
     return [(w, fraction_estimate(int(inside[:, k].sum()), replicas))
             for k, w in enumerate(widths)]
 
@@ -518,7 +523,7 @@ class SandwichReport:
 
 
 def sandwich_experiment(p: float, v: tuple[int, int], s: float, replicas: int,
-                        seed: int, threads: int = 1) -> SandwichReport:
+                        seed: int) -> SandwichReport:
     """Frequency of the two-sided boundary bound on the increments
     Delta_j around the origin of the rectangle from -v to w = n e_+ - v
     (n = |v|_1), for 1 <= |j| <= k, k = floor(2 s |v|_1^(2/3)) + 1:
@@ -581,7 +586,7 @@ def sandwich_experiment(p: float, v: tuple[int, int], s: float, replicas: int,
         y = inc_hat[w2 - np.arange(1, k + 1)] - lo_col[v2 + np.arange(1, k + 1) - 1]
         return ok, float(y.mean())
 
-    rows = _replica_map(one, replicas, threads)
+    rows = [one(r) for r in range(replicas)]
     freq = fraction_estimate(sum(ok for ok, _ in rows), replicas)
     y_mean = mean_estimate(np.array([ym for _, ym in rows]))
     return SandwichReport(p, (v1, v2), s, k, lam_minus, lam_plus, lam_hat_plus,
@@ -611,7 +616,7 @@ def _site_weight_variants(cfg: WeightConfig, v: tuple[int, int], i: int,
 
 
 def _influence_rows(p: float, n: int, v_list, i_max: int, replicas: int,
-                    seed: int, threads: int):
+                    seed: int):
     """Per-replica influence samples |E_xi T(sigma^xi)| - T| and visit
     indicators for each listed site."""
     v_list = [tuple(v) for v in v_list]
@@ -639,15 +644,14 @@ def _influence_rows(p: float, n: int, v_list, i_max: int, replicas: int,
                 samp[a, i] = abs(mean_flip - total)
         return samp, visits
 
-    rows = _replica_map(one, replicas, threads)
+    rows = [one(r) for r in range(replicas)]
     samples = np.stack([s for s, _ in rows])          # (replicas, sites, bits)
     visits = np.stack([vi for _, vi in rows])         # (replicas, sites)
     return samples, visits
 
 
 def bit_influence_on_Tn(p: float, n: int, v: tuple[int, int], i: int,
-                        replicas: int, seed: int,
-                        threads: int = 1) -> EstimateWithCI:
+                        replicas: int, seed: int) -> EstimateWithCI:
     """Influence of encoding bit (v, i) on T_n: E|E_xi[T_n o sigma] - T_n|.
 
     The inner expectation over the forced bit is computed exactly from
@@ -658,7 +662,7 @@ def bit_influence_on_Tn(p: float, n: int, v: tuple[int, int], i: int,
         raise ValueError(f"bit index must be >= 0, got {i}")
     if not _square(n).contains(v):
         return EstimateWithCI(0.0, 0.0, 0.0, 0.0, replicas)
-    samples, _ = _influence_rows(p, n, [v], i, replicas, seed, threads)
+    samples, _ = _influence_rows(p, n, [v], i, replicas, seed)
     return mean_estimate(samples[:, 0, i])
 
 
@@ -672,8 +676,8 @@ class VisitInfluenceRow:
 
 
 def visit_vs_influence(p: float, n: int, replicas: int, seed: int,
-                       v_list=None, i_max: int = 8, delta: float = 0.5,
-                       threads: int = 1) -> list[VisitInfluenceRow]:
+                       v_list=None, i_max: int = 8,
+                       delta: float = 0.5) -> list[VisitInfluenceRow]:
     """Summed squared bit influences against visit probabilities.
 
     Each row reports sum_i I_hat(v, i)^2 and the ratio against
@@ -683,8 +687,7 @@ def visit_vs_influence(p: float, n: int, replicas: int, seed: int,
         qs = sorted({max(1, n // 8), n // 4, n // 2, 3 * n // 4})
         v_list = [(q, q) for q in qs]
         v_list += [(3 * n // 4, n // 4), (n // 4, 3 * n // 4)]
-    samples, visits = _influence_rows(p, n, v_list, i_max, replicas, seed,
-                                      threads)
+    samples, visits = _influence_rows(p, n, v_list, i_max, replicas, seed)
     out = []
     for a, v in enumerate(v_list):
         inf_means = samples[:, a, :].mean(axis=0)
@@ -772,8 +775,8 @@ class NoiseComparisonReport:
     seed: int
 
 
-def noise_comparison(p: float, n: int, t: float, replicas: int, seed: int,
-                     threads: int = 1) -> NoiseComparisonReport:
+def noise_comparison(p: float, n: int, t: float, replicas: int,
+                     seed: int) -> NoiseComparisonReport:
     """Bit dynamics at t against site dynamics at M t under the coupled
     clocks, capped at M = coupled_cap(n, p).
 
@@ -795,20 +798,15 @@ def noise_comparison(p: float, n: int, t: float, replicas: int, seed: int,
         fields = np.stack((cf.base, cf.bit_t, cf.site_mt))
         return travel_time(np.concatenate((fields, np.minimum(fields, cap))))
 
-    rows = np.array(_replica_map(one, replicas, threads), dtype=np.float64)
+    rows = np.array([one(r) for r in range(replicas)], dtype=np.float64)
     t0, tb, ts, t0c, tbc, tsc = rows.T
     corr_bit = pearson_estimate(t0, tb)
     corr_site = pearson_estimate(t0, ts)
-    rng = np.random.default_rng(derive_seed(seed, Stream.GENERIC, 10**6 + 2))
-    boots = np.empty(1000)
-    for b in range(1000):
-        idx = rng.integers(0, replicas, replicas)
-        boots[b] = (np.corrcoef(t0[idx], ts[idx])[0, 1]
-                    - np.corrcoef(t0[idx], tb[idx])[0, 1])
-    diff = corr_site.estimate - corr_bit.estimate
-    lo, hi = np.percentile(boots, [2.5, 97.5])
-    corr_diff = EstimateWithCI(diff, float(boots.std(ddof=1)), float(lo),
-                               float(hi), replicas)
+    boots = _bootstrap(derive_seed(seed, Stream.GENERIC, 10**6 + 2), 1000,
+                       [replicas], lambda i: _corr_diff(t0, ts, tb, i))
+    corr_diff = _boot_estimate(corr_site.estimate - corr_bit.estimate, boots,
+                               replicas)
+
     def cov(a, b):
         return float(np.cov(a, b, ddof=1)[0, 1])
     var0 = float(t0.var(ddof=1))

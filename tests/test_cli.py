@@ -4,6 +4,7 @@ import importlib.metadata
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import csv
 import io
@@ -14,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lppnoise import cli
 from lppnoise.cli import main
 from lppnoise.lattice import (NoiseKind, NoisyPair, Rect, WeightConfig,
                               noisy_weights, weights)
@@ -35,6 +37,21 @@ def test_help_lists_every_subcommand():
     assert res.exit_code == 0
     for name in SUBCOMMANDS:
         assert name in res.output
+
+
+# ``--help`` of the group, ``run`` and every experiment command as a
+# terminal of 80 or more columns shows them (click wraps at 78).
+HELP_SNAPSHOTS = Path(__file__).parent / "help_snapshots"
+
+
+@pytest.mark.parametrize("command", [None] + SUBCOMMANDS)
+def test_help_text_matches_snapshot(command):
+    args = [command, "--help"] if command else ["--help"]
+    res = CliRunner().invoke(main, args, prog_name="lppnoise",
+                             terminal_width=78, catch_exceptions=False)
+    assert res.exit_code == 0
+    snapshot = HELP_SNAPSHOTS / f"{command or 'lppnoise'}.txt"
+    assert res.output == snapshot.read_text()
 
 
 def test_version_flag():
@@ -423,11 +440,83 @@ def test_random_config_never_raises(tmp_path, experiments, seed):
     ("sandwich", {"p": 0.5, "v": [2 ** 40, 2 ** 40], "s": 0.05,
                   "replicas": 2},
      '"v[0]" in sandwich: must be <= 4000'),
+    ("variance-scaling", {"p": 0.5, "n_list": [2, 3, 4], "replicas": 2,
+                          "n_boot": 2 ** 40},
+     '"n_boot" in variance-scaling: must be <= 100000'),
+    ("transversal", {"p": 0.5, "n_list": [2, 3, 4], "replicas": 2,
+                     "n_boot": 100_001},
+     '"n_boot" in transversal: must be <= 100000'),
+    ("bks-verify", {"m": 2, "p": 0.5, "t": 0.5, "trials": 100_001},
+     '"trials" in bks-verify: must be <= 100000'),
+    ("stationary-checks", {"p": 0.5, "lam": 0.5, "rows": 2, "cols": 2,
+                           "gof_samples": 600_001},
+     '"gof_samples" in stationary-checks: must be <= 600000'),
 ])
 def test_run_rejects_out_of_range_ints(tmp_path, name, params, message):
     res = _run_one(tmp_path, name, params)
     assert res.exit_code == 1
     assert f"configuration error: invalid value for {message}" in res.output
+
+
+# Each experiment's command at a small size; test_command_matches_config
+# runs it, then runs the params the command passed on through a config.
+_SMALL_COMMANDS = {
+    "corr-decay": ["--p", "0.4", "--n", "4", "--t", "0", "--t", "0.5",
+                   "--kind", "site", "--replicas", "30"],
+    "variance-scaling": ["--n", "2", "--n", "3", "--n", "4", "--replicas",
+                         "2"],
+    "transversal": ["--n", "2", "--n", "3", "--n", "4", "--replicas", "2",
+                    "--envelope-width", "0", "--envelope-width", "2"],
+    "geodesic-heatmap": ["--n", "4", "--replicas", "2"],
+    "stationary-checks": ["--lam", "0.3", "--rows", "3", "--cols", "4",
+                          "--gof-samples", "500"],
+    "rw-bound": ["--value", "-1", "--prob", "0.4", "--value", "1", "--prob",
+                 "0.6", "--steps", "3", "--steps", "40", "--replicas", "100"],
+    "sandwich": ["--v", "3", "3", "--s", "0.05", "--replicas", "2"],
+    "noise-compare": ["--n", "4", "--t", "0.1", "--replicas", "30"],
+    "influence-map": ["--n", "4", "--replicas", "30", "--i-max", "1"],
+    "bks-verify": ["--m", "2", "--p", "0.5", "--t", "0.5", "--trials", "2"],
+    "dump-field": ["--lo", "-1", "-2", "--hi", "1", "0", "--t", "0.5",
+                   "--kind", "SITE"],
+    "dump-geodesic": ["--n", "4"],
+    "dump-stationary": ["--rows", "3", "--cols", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_COMMANDS))
+def test_command_matches_config(tmp_path, monkeypatch, name):
+    fed, execute = [], cli._execute
+
+    def spy(name, params, *args, **kwargs):
+        fed.append(params)
+        return execute(name, params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_execute", spy)
+    direct, batch = tmp_path / "direct", tmp_path / "batch"
+    res = _invoke([name, *_SMALL_COMMANDS[name], "--seed", "5", "--out",
+                   str(direct)])
+    assert res.exit_code == 0, res.output
+    stem = name.replace("-", "_")
+    summary = (direct / f"{stem}_summary.json").read_bytes()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(
+        {"seed": 5, "output_dir": str(batch),
+         "experiments": [{"name": name, "params": fed[0]}]}))
+    res = _invoke(["run", "--config", str(cfg)])
+    assert res.exit_code == 0, res.output
+    assert (batch / f"00_{stem}.csv").read_bytes() == \
+        (direct / f"{stem}.csv").read_bytes()
+    assert (batch / f"00_{stem}_summary.json").read_bytes() == summary
+
+
+def test_run_turns_memory_error_into_config_error(tmp_path, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+    monkeypatch.setattr("lppnoise.cli.geodesic_report", out_of_memory)
+    res = _run_one(tmp_path, "dump-geodesic", {"p": 0.5, "n": 3})
+    assert res.exit_code == 1
+    assert ("configuration error: out of memory for dump-geodesic: Unable "
+            "to allocate 8.00 TiB") in res.output
 
 
 def test_run_missing_config_file(tmp_path):

@@ -2,6 +2,7 @@
 oracles, statistical pieces against pinned-seed expectations."""
 
 import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -69,16 +70,12 @@ def test_pearson_ci_calibration():
 
 # ----------------------------------------------------------------- corr decay
 
-def test_corr_decay_t0_exact_and_thread_invariance():
-    res1 = corr_decay(0.5, 16, (0.0, 0.5), NoiseKind.BIT, replicas=40,
-                      seed=9, threads=1)
-    res2 = corr_decay(0.5, 16, (0.0, 0.5), NoiseKind.BIT, replicas=40,
-                      seed=9, threads=3)
-    assert res1.estimates[0].estimate == 1.0
-    assert res1.estimates[0].ci_low == res1.estimates[0].ci_high == 1.0
-    assert res1.samples.shape == (40, 3)
-    assert np.array_equal(res1.samples, res2.samples)
-    assert np.array_equal(res1.samples[:, 0], res1.samples[:, 1])  # t = 0 reuse
+def test_corr_decay_t0_exact():
+    res = corr_decay(0.5, 16, (0.0, 0.5), NoiseKind.BIT, replicas=40, seed=9)
+    assert res.estimates[0].estimate == 1.0
+    assert res.estimates[0].ci_low == res.estimates[0].ci_high == 1.0
+    assert res.samples.shape == (40, 3)
+    assert np.array_equal(res.samples[:, 0], res.samples[:, 1])  # t = 0 reuse
 
 
 def test_corr_decay_matches_direct_recomputation():
@@ -109,6 +106,86 @@ def test_corr_difference_ci_is_deterministic_and_centered():
     assert d1.ci_low <= d1.estimate <= d1.ci_high
     with pytest.raises(ValueError):
         corr_difference_ci(res, 0, 2)
+
+
+# The three resampling loops that estimators._bootstrap replaced, as they
+# were written: corr_difference_ci, noise_comparison (1000 resamples) and
+# _bootstrap_slope.
+
+def _corr_difference_loop(seed, n_boot, base, a, b):
+    rng = np.random.default_rng(seed)
+    boots = np.empty(n_boot)
+    m = base.size
+    for j in range(n_boot):
+        idx = rng.integers(0, m, m)
+        boots[j] = (np.corrcoef(base[idx], a[idx])[0, 1]
+                    - np.corrcoef(base[idx], b[idx])[0, 1])
+    return boots
+
+
+def _noise_comparison_loop(seed, n_boot, t0, ts, tb):
+    replicas = t0.size
+    rng = np.random.default_rng(seed)
+    boots = np.empty(n_boot)
+    for b in range(n_boot):
+        idx = rng.integers(0, replicas, replicas)
+        boots[b] = (np.corrcoef(t0[idx], ts[idx])[0, 1]
+                    - np.corrcoef(t0[idx], tb[idx])[0, 1])
+    return boots
+
+
+def _bootstrap_slope_loop(seed, n_boot, log_n, samples, stat_fn):
+    rng = np.random.default_rng(seed)
+    boots = np.empty(n_boot)
+    for b in range(n_boot):
+        ys = np.array([stat_fn(s[rng.integers(0, s.size, s.size)])
+                       for s in samples])
+        boots[b] = np.polyfit(log_n, np.log(np.maximum(ys, 1e-300)), 1)[0]
+    return boots
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(4, 200), min_size=1, max_size=4),
+       n_boot=st.integers(1, 50), seed=st.integers(0, 2**64 - 1),
+       data_seed=st.integers(0, 2**32 - 1),
+       stat=st.sampled_from(["var", "median"]))
+def test_bootstrap_matches_the_old_loops(sizes, n_boot, seed, data_seed,
+                                         stat):
+    gen = np.random.default_rng(data_seed)
+    # few distinct values, so resamples hit ties and constant columns
+    samples = [gen.integers(0, 6, m).astype(float) for m in sizes]
+    base, a, b = gen.integers(0, 6, (3, sizes[0])).astype(float)
+    log_n = np.log(8.0 * np.arange(1, len(sizes) + 1))
+    stat_fn = ((lambda s: s.var(ddof=1)) if stat == "var"
+               else (lambda s: float(np.median(s))))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # constant columns, one-scale fits
+        got = estimators._bootstrap(
+            seed, n_boot, [sizes[0]],
+            lambda i: estimators._corr_diff(base, a, b, i))
+        assert np.array_equal(got, _corr_difference_loop(seed, n_boot, base,
+                                                         a, b), equal_nan=True)
+        assert np.array_equal(got, _noise_comparison_loop(seed, n_boot, base,
+                                                          a, b),
+                              equal_nan=True)
+        want = _bootstrap_slope_loop(seed, n_boot, log_n, samples, stat_fn)
+        point = np.array([stat_fn(x) for x in samples])
+        assume((point > 0).all())
+        fit = estimators._bootstrap_slope(log_n, samples, stat_fn, n_boot,
+                                          seed)
+    lo, hi = np.percentile(want, [2.5, 97.5])
+    assert np.array_equal([fit.ci_low, fit.ci_high], [lo, hi], equal_nan=True)
+
+
+def test_corr_difference_ci_matches_the_old_loop():
+    res = corr_decay(0.5, 12, (0.25, 4.0), NoiseKind.SITE, replicas=40,
+                     seed=23)
+    base, a, b = res.samples.T
+    boots = _corr_difference_loop(derive_seed(23, Stream.GENERIC, 10**6), 300,
+                                  base, a, b)
+    d = corr_difference_ci(res, 0, 1, n_boot=300)
+    lo, hi = np.percentile(boots, [2.5, 97.5])
+    assert (d.stderr, d.ci_low, d.ci_high) == (boots.std(ddof=1), lo, hi)
 
 
 # -------------------------------------------------------------- random walks
@@ -404,13 +481,6 @@ def test_sandwich_y_mean_matches_closed_form():
     assert rep.k == int(np.floor(2 * s * size ** (2 / 3))) + 1
     assert 0 <= rep.frequency.estimate <= 1
     assert rep.frequency.estimate > 0.8  # the sandwich holds most of the time
-
-
-def test_sandwich_thread_invariance():
-    a = sandwich_experiment(0.5, (12, 12), 0.14, replicas=60, seed=41, threads=1)
-    b = sandwich_experiment(0.5, (12, 12), 0.14, replicas=60, seed=41, threads=3)
-    assert a.frequency.estimate == b.frequency.estimate
-    assert a.y_mean.estimate == b.y_mean.estimate
 
 
 def test_sandwich_validation():
