@@ -20,9 +20,10 @@ import numpy as np
 
 from . import __version__
 from .cube import random_normal_function, verify_bks
-from .estimators import (antidiagonal_frequencies, corr_decay,
-                         diagonal_scaled_frequency, envelope_frequencies,
-                         geodesic_heatmap, noise_comparison, rw_nonneg_bound,
+from .estimators import (antidiagonal_frequencies, antidiagonal_offset,
+                         corr_decay, diagonal_scaled_frequency,
+                         envelope_frequencies, geodesic_heatmap,
+                         noise_comparison, rw_nonneg_bound,
                          sandwich_experiment, transversal_exponent,
                          variance_scaling, visit_vs_influence, walk_spec)
 from .lattice import (NoiseKind, NoisyPair, Rect, WeightConfig, noisy_weights,
@@ -268,7 +269,8 @@ def _run_geodesic_heatmap(q, seed, rec):
               f"origin {hm.counts[0, 0]}, target {hm.counts[n, n]}, "
               f"replicas {reps}")
     smax = 0.9 * n ** (1.0 / 3.0)
-    s_vals = [s for s in (0.5, 1.0, 2.0, 3.0) if s < smax]
+    s_vals = [s for s in (0.5, 1.0, 2.0, 3.0)
+              if s < smax and antidiagonal_offset(n, s) <= n // 2]
     return (["x1", "x2", "count", "frequency"],
             [x1, x2, counts, counts / reps],
             {"diagonal_scaled_frequency": diagonal_scaled_frequency(hm),
@@ -314,8 +316,9 @@ def _run_stationary_checks(q, seed, rec):
     rec.check("gof_horizontal", p_h > 1e-3, f"p-value {p_h:.3g}")
     rec.check("gof_vertical", p_v > 1e-3, f"p-value {p_v:.3g}")
     return (["check", "value", "passed"], list(zip(*rows)),
-            {"params": {"q": par.q, "q_prime": par.q_prime, "p_h": par.p_h,
-                        "p_v": par.p_v, "direction": list(par.direction)},
+            {"boundary_params": {"q": par.q, "q_prime": par.q_prime,
+                                 "p_h": par.p_h, "p_v": par.p_v,
+                                 "direction": list(par.direction)},
              "mean_increment_h": float(inc_h.mean()),
              "mean_increment_v": float(inc_v.mean()),
              "exit_times": {"z_h": ex.z_h, "z_v": ex.z_v,

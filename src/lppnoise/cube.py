@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "MAX_M",
@@ -316,6 +315,8 @@ def verify_lemma_suite(f: CubeFunction, g: CubeFunction, t: float,
 
 def integral_formula_check(f: CubeFunction, rel_tol: float = 1e-6):
     """Var(f) = 2 * int_0^inf sum_i E[(P_s grad_i f)^2] ds by quadrature."""
+    from scipy import integrate
+
     m, p = f.m, f.p
     grads = [_grad_values(f.values, m, p, i) for i in range(m)]
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .lattice import (NoiseKind, NoisyPair, Rect, WeightConfig, coupled_cap,
                       coupled_fields, noisy_stack, site_bits, weights)
@@ -37,6 +36,7 @@ __all__ = [
     "HeatmapResult",
     "geodesic_heatmap",
     "diagonal_scaled_frequency",
+    "antidiagonal_offset",
     "antidiagonal_frequencies",
     "TransversalResult",
     "transversal_exponent",
@@ -58,7 +58,9 @@ __all__ = [
     "noise_comparison",
 ]
 
-_Z95 = float(stats.norm.ppf(0.975))
+# float(scipy.stats.norm.ppf(0.975)), written out so that importing this
+# module does not load scipy.stats.
+_Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -320,13 +322,19 @@ def diagonal_scaled_frequency(hm: HeatmapResult) -> float:
     return float(freq * (n / np.log(n)) ** (2.0 / 3.0))
 
 
+def antidiagonal_offset(n: int, s: float) -> int:
+    """The offset d = ceil(s n^(2/3) / 2) of the antidiagonal site at scale s."""
+    return int(np.ceil(s * n ** (2.0 / 3.0) / 2.0))
+
+
 def antidiagonal_frequencies(hm: HeatmapResult, s_values) -> list[tuple[float, float]]:
     """Visit frequencies at v = (n/2 + d, n/2 - d), d = s n^(2/3) / 2."""
     n = hm.n
     out = []
     for s in s_values:
-        d = int(np.ceil(s * n ** (2.0 / 3.0) / 2.0))
-        if n // 2 + d > n:
+        d = antidiagonal_offset(n, s)
+        # d > n // 2 puts one coordinate below 0 (or above n)
+        if d > n // 2:
             raise ValueError(f"offset s={s} leaves the rectangle")
         out.append((float(s), float(hm.counts[n // 2 + d, n // 2 - d] / hm.replicas)))
     return out

@@ -2,6 +2,8 @@
 
 import importlib.metadata
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lppnoise
 from lppnoise import cli
 from lppnoise.cli import main
 from lppnoise.lattice import (NoiseKind, NoisyPair, Rect, WeightConfig,
@@ -183,6 +186,23 @@ def test_stationary_checks_pass(tmp_path):
     lines = (tmp_path / "stationary_checks.csv").read_text().splitlines()
     assert lines[0] == "check,value,passed"
     assert all(ln.endswith(",true") for ln in lines[1:])
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_geodesic_heatmap_antidiagonal_sites_inside_square(tmp_path, n):
+    res = _invoke(["geodesic-heatmap", "--n", str(n), "--replicas", "2",
+                   "--seed", "2", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    summary = json.loads(
+        (tmp_path / "geodesic_heatmap_summary.json").read_text())
+    rows = list(csv.DictReader(io.StringIO(
+        (tmp_path / "geodesic_heatmap.csv").read_text())))
+    freq = {(int(r["x1"]), int(r["x2"])): float(r["frequency"]) for r in rows}
+    for s, f in summary["antidiagonal_frequencies"]:
+        d = math.ceil(s * n ** (2.0 / 3.0) / 2.0)
+        x1, x2 = n // 2 + d, n // 2 - d
+        assert 0 <= x2 and x1 <= n, (s, d)
+        assert f == freq[x1, x2]
 
 
 def test_rw_bound_cli(tmp_path):
@@ -507,6 +527,8 @@ def test_command_matches_config(tmp_path, monkeypatch, name):
     assert (batch / f"00_{stem}.csv").read_bytes() == \
         (direct / f"{stem}.csv").read_bytes()
     assert (batch / f"00_{stem}_summary.json").read_bytes() == summary
+    ran = json.loads(cfg.read_text())["experiments"][0]["params"]
+    assert json.loads(summary)["params"] == ran
 
 
 def test_run_turns_memory_error_into_config_error(tmp_path, monkeypatch):
@@ -562,3 +584,44 @@ def test_installed_entry_point_runs():
                           text=True)
     assert proc.returncode == 0
     assert "last-passage" in proc.stdout
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this lppnoise."""
+    src = str(Path(lppnoise.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+
+
+# scipy costs most of the start-up time; only stationary-checks needs it
+_NO_SCIPY = """
+import sys
+from lppnoise.cli import main
+for args in (["--help"],
+             ["corr-decay", "--n", "4", "--t", "0.5", "--replicas", "30",
+              "--out", sys.argv[1]]):
+    try:
+        main(args, prog_name="lppnoise")
+    except SystemExit as exc:
+        assert exc.code == 0, (args, exc.code)
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    proc = _fresh_python(_NO_SCIPY, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "corr_decay.csv").exists()
+
+
+def test_stationary_checks_in_fresh_interpreter(tmp_path):
+    proc = _fresh_python(
+        "from lppnoise.cli import main; main(prog_name='lppnoise')",
+        "stationary-checks", "--lam", "0.3", "--rows", "3", "--cols", "4",
+        "--gof-samples", "500", "--seed", "5", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "stationary_checks.csv").exists()

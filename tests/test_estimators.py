@@ -527,6 +527,15 @@ def test_heatmap_counts():
     assert 0 <= freq.min() and freq.max() <= 1
 
 
+def test_antidiagonal_frequencies_rejects_sites_outside_the_square():
+    hm = estimators.geodesic_heatmap(0.5, 3, replicas=5, seed=2)
+    # s = 1 at n = 3 gives d = 2 and the site (3, -1)
+    with pytest.raises(ValueError, match="leaves the rectangle"):
+        estimators.antidiagonal_frequencies(hm, [1.0])
+    assert estimators.antidiagonal_frequencies(hm, [0.5]) == \
+        [(0.5, float(hm.counts[2, 0] / 5))]
+
+
 def test_envelope_frequencies_increase_with_width():
     rows = envelope_frequencies(0.5, 32, (1, 4, 16), replicas=60, seed=59)
     widths = [w for w, _ in rows]
@@ -556,3 +565,8 @@ def test_noise_comparison_validation():
         noise_comparison(0.5, 100, 0.5, replicas=40, seed=1)  # t > 1/ln n
     with pytest.raises(ValueError):
         noise_comparison(0.5, 100, 0.1, replicas=10, seed=1)
+
+
+def test_z95_matches_scipy():
+    from scipy import stats
+    assert estimators._Z95 == float(stats.norm.ppf(0.975))
