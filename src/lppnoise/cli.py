@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
 import click
@@ -26,8 +27,7 @@ from .estimators import (antidiagonal_frequencies, antidiagonal_offset,
                          noise_comparison, rw_nonneg_bound,
                          sandwich_experiment, transversal_exponent,
                          variance_scaling, visit_vs_influence, walk_spec)
-from .lattice import (NoiseKind, NoisyPair, Rect, WeightConfig, noisy_weights,
-                      weights)
+from .lattice import NoiseKind, Rect, WeightConfig, noisy_stack, weights
 from .lpp import geodesic_report
 from .manifest import (ExperimentRecord, RunManifest, write_csv_atomic,
                        write_json_atomic)
@@ -213,7 +213,10 @@ def _run_corr_decay(q, seed, rec):
         if t == 0.0:
             rec.check("corr_at_t0_exactly_one", e.estimate == 1.0,
                       f"estimate = {e.estimate}")
-    vals = [e.estimate for e in res.estimates if not e.degenerate]
+    # judged over the distinct times in increasing order
+    by_t = {t: e.estimate for t, e in zip(res.t_values, res.estimates)
+            if not e.degenerate}
+    vals = [by_t[t] for t in sorted(by_t)]
     return (["t", "estimate", "stderr", "ci_low", "ci_high", "replicas",
              "degenerate"], list(zip(*rows)),
             {"estimates": {str(t): _estimate_dict(e)
@@ -513,7 +516,7 @@ def _run_dump_field(q, seed, rec):
     header = ["x1", "x2", "weight"]
     cols = [g.ravel() for g in region.coord_grids()] + [w.ravel()]
     if q["t"] is not None:
-        cols.append(noisy_weights(NoisyPair(cfg, q["t"], kind)).ravel())
+        cols.append(noisy_stack(cfg, (q["t"],), kind)[0].ravel())
         header.append("noisy_weight")
     return header, cols, {"shape": list(w.shape), "total_weight": int(w.sum())}
 
@@ -554,6 +557,17 @@ def _run_dump_stationary(q, seed, rec):
              "direction": list(par.direction)})
 
 
+@contextmanager
+def _writing_to(out_dir: str):
+    """Report an OSError of creating or writing ``out_dir`` as a
+    configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f'cannot write to output directory "{out_dir}": '
+                          f"{exc.strerror or exc}") from None
+
+
 def _execute(name: str, params: dict, seed: int, out_dir: str,
              prefix: str = "") -> ExperimentRecord:
     exp = _EXPERIMENTS[name]
@@ -563,7 +577,8 @@ def _execute(name: str, params: dict, seed: int, out_dir: str,
         header, columns, summary = exp.runner(
             _parse(name, exp.fields, params), seed, rec)
         rec.outputs.append(base + ".csv")
-        write_csv_atomic(base + ".csv", header, columns)
+        with _writing_to(out_dir):
+            write_csv_atomic(base + ".csv", header, columns)
     except ValueError as exc:  # parameters the library rejects
         raise ConfigError(f"invalid parameters for {name}: {exc}") from None
     except MemoryError as exc:
@@ -572,7 +587,8 @@ def _execute(name: str, params: dict, seed: int, out_dir: str,
                "passed": rec.passed,
                "assertions": rec.assertions, **summary}
     rec.outputs.append(base + "_summary.json")
-    write_json_atomic(base + "_summary.json", summary)
+    with _writing_to(out_dir):
+        write_json_atomic(base + "_summary.json", summary)
     return rec
 
 
@@ -594,12 +610,6 @@ def _single(name: str, params: dict, seed: int, out: str) -> None:
     _exit([rec])
 
 
-# Replicas run one after another: a thread pool gave at most 1.16x on two
-# cores, so the flag is kept only so that existing command lines still run.
-_THREADS = dict(type=int, default=1, show_default=True, expose_value=False,
-                help="No-op; accepted for compatibility.")
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main() -> None:
@@ -614,17 +624,20 @@ def main() -> None:
               help="Override the config seed.")
 @click.option("--out", type=click.Path(), default=None,
               help="Override the config output_dir.")
-@click.option("--threads", **_THREADS)
 def run_cmd(config, seed, out) -> None:
     """Run every experiment listed in a JSON config file."""
     try:
         try:
-            with open(config, "r") as fh:
+            with open(config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f'config file not found: "{config}"') from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f'config file is not valid JSON: {exc}'
+                              ) from None
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f'cannot read config file "{config}": {reason}'
                               ) from None
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
@@ -670,14 +683,16 @@ def run_cmd(config, seed, out) -> None:
         manifest = RunManifest(tool_version=__version__, master_seed=master,
                                config_echo=doc)
         manifest.start()
-        os.makedirs(out_dir, exist_ok=True)
+        with _writing_to(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
         for k, name, params, sub_seed in plan:
             rec = _execute(name, params, sub_seed, out_dir,
                            prefix=f"{k:02d}_")
             manifest.experiments.append(rec)
             click.echo(f"[{k}] {name}: {'ok' if rec.passed else 'FAILED'}")
         manifest.finish()
-        manifest.write(os.path.join(out_dir, "manifest.json"))
+        with _writing_to(out_dir):
+            manifest.write(os.path.join(out_dir, "manifest.json"))
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(1)
@@ -705,8 +720,7 @@ def _command(exp: _Experiment) -> click.Command:
                      help="Master seed; every output is a pure function of "
                           "seed and parameters."),
         click.Option(["--out"], type=click.Path(), default="lppnoise-out",
-                     show_default=True, help="Output directory."),
-        click.Option(["--threads"], **_THREADS)]
+                     show_default=True, help="Output directory.")]
     return click.Command(exp.name, callback=callback, params=options,
                          help=exp.doc)
 

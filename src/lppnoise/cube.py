@@ -313,8 +313,9 @@ def verify_lemma_suite(f: CubeFunction, g: CubeFunction, t: float,
     return checks
 
 
-def integral_formula_check(f: CubeFunction, rel_tol: float = 1e-6):
-    """Var(f) = 2 * int_0^inf sum_i E[(P_s grad_i f)^2] ds by quadrature."""
+def integral_formula_check(f: CubeFunction):
+    """Var(f) = 2 * int_0^inf sum_i E[(P_s grad_i f)^2] ds by quadrature,
+    to a relative error of 1e-6."""
     from scipy import integrate
 
     m, p = f.m, f.p
@@ -328,7 +329,7 @@ def integral_formula_check(f: CubeFunction, rel_tol: float = 1e-6):
                                epsrel=1e-9, limit=200)
     var = variance(f)
     rel_err = abs(2.0 * val - var) / var if var > 0 else abs(2.0 * val)
-    return var, 2.0 * val, rel_err, rel_err <= rel_tol
+    return var, 2.0 * val, rel_err, rel_err <= 1e-6
 
 
 def geometric_lsi_terms(p: float, u: float) -> tuple[float, float]:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (NoiseKind, NoisyPair, Rect, WeightConfig, coupled_cap,
-                      coupled_fields, noisy_stack, site_bits, weights)
+from .lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
+                      coupled_cap, coupled_fields, noisy_stack, scan_cap,
+                      site_bits, weights)
 from .lpp import (backward_table, extreme_path, forward_table, geodesic_report,
                   travel_time)
 from .rng import Stream, derive_seed, uniform_array
@@ -375,14 +376,14 @@ def transversal_exponent(p: float, n_list, replicas: int, seed: int,
     return TransversalResult(p, fit, replicas, seed)
 
 
-def envelope_frequencies(p: float, n: int, widths, replicas: int, seed: int,
-                         alpha: float = 0.75) -> list[tuple[int, EstimateWithCI]]:
+def envelope_frequencies(p: float, n: int, widths, replicas: int,
+                         seed: int) -> list[tuple[int, EstimateWithCI]]:
     """P(the whole geodesic set stays in the antidiagonal envelope
-    |v2 - v1| <= min(|v|_1, 2n - |v|_1)^alpha + width)."""
+    |v2 - v1| <= min(|v|_1, 2n - |v|_1)^(3/4) + width)."""
     widths = [int(w) for w in widths]
     i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     dist = np.minimum(i + j, 2 * n - i - j).astype(float)
-    margin = np.abs(j - i) - dist ** alpha
+    margin = np.abs(j - i) - dist ** 0.75
 
     def one(r: int) -> np.ndarray:
         cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r), _square(n))
@@ -612,15 +613,15 @@ def _site_weight_variants(cfg: WeightConfig, v: tuple[int, int], i: int,
     up = min(w_v, i)
     if w_v != i:
         return up, w_v
-    # forcing the first one to zero: the weight becomes the next set bit
-    count = i + 64
-    while count <= 10 ** 6:
-        bits = site_bits(cfg, v, count)
-        later = np.flatnonzero(bits[i + 1:])
-        if later.size:
-            return up, i + 1 + int(later[0])
-        count *= 2
-    raise RuntimeError("bit scan exceeded the safety cap")
+    # forcing the first one to zero: the weight becomes the next set bit,
+    # looked for within the decode's own scan cap
+    cap = scan_cap(cfg.p)
+    later = np.flatnonzero(site_bits(cfg, v, cap)[i + 1:])
+    if not later.size:
+        raise RngIntegrityError(
+            f"bit scan at p={cfg.p} exceeded {cap} rounds; keyed stream "
+            "damaged")
+    return up, i + 1 + int(later[0])
 
 
 def _influence_rows(p: float, n: int, v_list, i_max: int, replicas: int,
@@ -684,17 +685,18 @@ class VisitInfluenceRow:
 
 
 def visit_vs_influence(p: float, n: int, replicas: int, seed: int,
-                       v_list=None, i_max: int = 8,
+                       i_max: int = 8,
                        delta: float = 0.5) -> list[VisitInfluenceRow]:
     """Summed squared bit influences against visit probabilities.
 
-    Each row reports sum_i I_hat(v, i)^2 and the ratio against
-    P_hat(v in geodesic set)^(2 - delta); the square-function bound
-    predicts a bounded ratio."""
-    if v_list is None:
-        qs = sorted({max(1, n // 8), n // 4, n // 2, 3 * n // 4})
-        v_list = [(q, q) for q in qs]
-        v_list += [(3 * n // 4, n // 4), (n // 4, 3 * n // 4)]
+    The sites are diagonal points at n/8, n/4, n/2 and 3n/4 plus the two
+    off-diagonal points (3n/4, n/4) and (n/4, 3n/4).  Each row reports
+    sum_i I_hat(v, i)^2 and the ratio against P_hat(v in geodesic
+    set)^(2 - delta); the square-function bound predicts a bounded
+    ratio."""
+    qs = sorted({max(1, n // 8), n // 4, n // 2, 3 * n // 4})
+    v_list = [(q, q) for q in qs]
+    v_list += [(3 * n // 4, n // 4), (n // 4, 3 * n // 4)]
     samples, visits = _influence_rows(p, n, v_list, i_max, replicas, seed)
     out = []
     for a, v in enumerate(v_list):
@@ -702,7 +704,7 @@ def visit_vs_influence(p: float, n: int, replicas: int, seed: int,
         s2 = float(np.sum(inf_means ** 2))
         freq = fraction_estimate(int(visits[:, a].sum()), replicas)
         base = max(freq.estimate, 1.0 / replicas)
-        out.append(VisitInfluenceRow(tuple(v), freq,
+        out.append(VisitInfluenceRow(v, freq,
                                      tuple(float(x) for x in inf_means), s2,
                                      s2 / base ** (2.0 - delta)))
     return out
@@ -802,7 +804,7 @@ def noise_comparison(p: float, n: int, t: float, replicas: int,
 
     def one(r: int):
         cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r), _square(n))
-        cf = coupled_fields(NoisyPair(cfg, t, NoiseKind.COUPLED, cap))
+        cf = coupled_fields(cfg, t, cap)
         fields = np.stack((cf.base, cf.bit_t, cf.site_mt))
         return travel_time(np.concatenate((fields, np.minimum(fields, cap))))
 

@@ -15,12 +15,11 @@ Three dynamics produce a time-t partner of a field:
 * ``SITE``: each site carries one Exp(1) clock (stream ``SITE_CLOCK``)
   and the whole weight is replaced by an independent geometric (decoded
   from the ``BIT_XPRIME`` stream) when the clock has rung.
-* ``COUPLED``: the comparison construction with cap ``M``.  The site
-  clock is ``U~_v = M * min_{0<=i<M} U_{v,i}``, reusing the per-bit
-  clocks, so every bit among the first M that is resampled at time t in
-  the BIT dynamics is also resampled at time ``M*t`` in the site
-  dynamics.  Both capped (``min(., M)``) and uncapped fields are
-  exposed.
+* coupled (``coupled_fields``): the comparison construction with cap
+  ``M``.  The site clock is ``U~_v = M * min_{0<=i<M} U_{v,i}``, reusing
+  the per-bit clocks, so every bit among the first M that is resampled
+  at time t in the BIT dynamics is also resampled at time ``M*t`` in the
+  site dynamics.
 
 Every field is decoded by one alive-set scan (``_first_hits``): round i
 draws bit i only for the sites that still have an unresolved member, and
@@ -28,7 +27,7 @@ a site leaves the scan once each of its members has met its first one.
 A base field and all its noisy partners are members of one scan, so the
 bits and clocks they share are hashed once per site and round (common
 random numbers).  SITE partners decode the replacement field only on the
-sites whose clock rang by the largest t, and the COUPLED site clock stops
+sites whose clock rang by the largest t, and the coupled site clock stops
 at a site's first per-bit clock <= t.  Each stream is hashed from a
 per-site key prefix (``rng.key_prefix``), so a round absorbs only the bit
 index.  This is exact because every draw is a pure function of its key:
@@ -54,10 +53,8 @@ __all__ = [
     "Rect",
     "WeightConfig",
     "NoiseKind",
-    "NoisyPair",
     "CoupledFields",
     "weights",
-    "noisy_weights",
     "noisy_stack",
     "coupled_fields",
     "coupled_cap",
@@ -113,27 +110,6 @@ class WeightConfig:
 class NoiseKind(Enum):
     BIT = "bit"
     SITE = "site"
-    COUPLED = "coupled"
-
-
-@dataclass(frozen=True)
-class NoisyPair:
-    """A base field together with a noise time and dynamics kind.
-
-    ``cap`` is required for COUPLED and ignored otherwise.
-    """
-
-    base: WeightConfig
-    t: float
-    kind: NoiseKind
-    cap: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.t < 0.0:
-            raise ValueError(f"noise time must be >= 0, got {self.t}")
-        if self.kind is NoiseKind.COUPLED:
-            if self.cap is None or self.cap < 1:
-                raise ValueError("COUPLED dynamics needs a cap M >= 1")
 
 
 def scan_cap(p: float) -> int:
@@ -247,9 +223,8 @@ def noisy_stack(cfg: WeightConfig, t_values, kind: NoiseKind) -> np.ndarray:
     """The time-t partners of one field for every t, from one decode.
 
     Returns a ``(len(t_values), n1, n2)`` array whose k-th member is the
-    ``kind`` partner at ``t_values[k]`` (the field itself where t = 0),
-    equal to ``noisy_weights(NoisyPair(cfg, t_values[k], kind))``.  BIT
-    partners share one scan; SITE partners share the base field and
+    ``kind`` partner at ``t_values[k]`` (the field itself where t = 0).
+    BIT partners share one scan; SITE partners share the base field and
     decode the replacement field only where a site clock rang by the
     largest t.
     """
@@ -259,8 +234,6 @@ def noisy_stack(cfg: WeightConfig, t_values, kind: NoiseKind) -> np.ndarray:
                          f"got {t_values}")
     if kind is NoiseKind.BIT:
         return _decode(cfg.seed, cfg.p, *_open_grid(cfg.region), t)
-    if kind is not NoiseKind.SITE:
-        raise ValueError("noisy_stack needs BIT or SITE; use coupled_fields")
     grid = _open_grid(cfg.region)
     base = _decode(cfg.seed, cfg.p, *grid)[0]
     clock = exponential_at(key_prefix(cfg.seed, Stream.SITE_CLOCK, *grid), 0)
@@ -276,8 +249,7 @@ class CoupledFields:
     """The comparison pair: base, bit-resampled at t, site-resampled at M*t.
 
     The site clock is ``U~_v = M * min_{i<M} U_{v,i}``; ``site_mt`` is
-    the site dynamics run to time ``M*t`` with that clock.  Capped
-    variants truncate every weight at M.
+    the site dynamics run to time ``M*t`` with that clock.
     """
 
     base: np.ndarray
@@ -285,23 +257,16 @@ class CoupledFields:
     site_mt: np.ndarray
     cap: int
 
-    @property
-    def base_capped(self) -> np.ndarray:
-        return np.minimum(self.base, self.cap)
 
-    @property
-    def bit_t_capped(self) -> np.ndarray:
-        return np.minimum(self.bit_t, self.cap)
-
-    @property
-    def site_mt_capped(self) -> np.ndarray:
-        return np.minimum(self.site_mt, self.cap)
-
-
-def coupled_fields(pair: NoisyPair) -> CoupledFields:
-    if pair.kind is not NoiseKind.COUPLED:
-        raise ValueError("coupled_fields needs a COUPLED pair")
-    cfg, t, m = pair.base, pair.t, int(pair.cap)
+def coupled_fields(cfg: WeightConfig, t: float,
+                   cap: int) -> CoupledFields:
+    """A field with its BIT partner at time t and its site partner at time
+    M*t under the coupled site clock, for the cap M = ``cap``."""
+    if t < 0.0:
+        raise ValueError(f"noise time must be >= 0, got {t}")
+    if cap < 1:
+        raise ValueError(f"coupled dynamics needs a cap M >= 1, got {cap}")
+    m = int(cap)
     grid = _open_grid(cfg.region)
     base, bit_t = _decode(cfg.seed, cfg.p, *grid, (0.0, t))
     if t == 0.0:
@@ -316,13 +281,6 @@ def coupled_fields(pair: NoisyPair) -> CoupledFields:
     site_mt = base.copy()
     site_mt[rung] = _replacement_at(cfg, rung)
     return CoupledFields(base, bit_t, site_mt, m)
-
-
-def noisy_weights(pair: NoisyPair) -> np.ndarray:
-    """Time-t partner field; for COUPLED, the site member at time M*t."""
-    if pair.kind is NoiseKind.COUPLED:
-        return coupled_fields(pair).site_mt
-    return noisy_stack(pair.base, (pair.t,), pair.kind)[0]
 
 
 def coupled_cap(n: int, p: float) -> int:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MAX_TABLE_SIDE",
     "forward_table",
     "backward_table",
     "travel_time",
@@ -37,8 +36,6 @@ __all__ = [
     "increment_profile",
 ]
 
-# Full-table analytics guard; travel_time itself streams rows and has no cap.
-MAX_TABLE_SIDE = 4001
 _ROW_BLOCK = 64   # rows whose prefix sums _table_rows takes in one call
 
 
@@ -142,12 +139,9 @@ def extreme_path(f: np.ndarray, w: np.ndarray, upmost: bool) -> np.ndarray:
     return np.array(path[::-1], dtype=np.int64)
 
 
-def geodesic_report(w: np.ndarray, allow_large: bool = False) -> GeodesicReport:
+def geodesic_report(w: np.ndarray) -> GeodesicReport:
     """Geodesic set and extreme geodesics via forward/backward tables."""
     w = _check_weights(w)
-    if max(w.shape) > MAX_TABLE_SIDE and not allow_large:
-        raise ValueError(
-            f"side {max(w.shape)} exceeds {MAX_TABLE_SIDE}; pass allow_large=True")
     f = forward_table(w)
     b = backward_table(w)
     total = int(f[-1, -1])

@@ -105,14 +105,6 @@ class StationaryField:
     grid: np.ndarray
     G: np.ndarray
 
-    @property
-    def p(self) -> float:
-        return self.params.p
-
-    @property
-    def lam(self) -> float:
-        return self.params.lam
-
     def increments_h(self) -> np.ndarray:
         """omega^H over the grid; entry [i-1, j] is the increment at
         base + (i, j), i >= 1."""

@@ -283,9 +283,10 @@ def test_criterion_11_covariance_monotonicity_all_nested_pairs():
                 "functions, exact with 1e-12 slack")
 
 
-def test_criterion_12_csv_bytes_identical_across_threads(tmp_path):
+def test_criterion_12_csv_bytes_identical_across_processes(tmp_path):
+    seed = 20250812
     config = {
-        "seed": 20250812,
+        "seed": seed,
         "experiments": [
             {"name": "corr-decay",
              "params": {"p": 0.5, "n": 50, "t_values": [0.0, 0.5],
@@ -297,6 +298,16 @@ def test_criterion_12_csv_bytes_identical_across_threads(tmp_path):
                         "n_steps": [100], "replicas": 5000}},
         ],
     }
+    # the same experiments as single commands, in config order
+    commands = {
+        "corr_decay": ["corr-decay", "--p", "0.5", "--n", "50", "--t", "0.0",
+                       "--t", "0.5", "--replicas", "100"],
+        "variance_scaling": ["variance-scaling", "--p", "0.5", "--n", "16",
+                             "--n", "32", "--n", "64", "--replicas", "80"],
+        "rw_bound": ["rw-bound", "--value", "-1", "--value", "1", "--prob",
+                     "0.5", "--prob", "0.5", "--steps", "100", "--replicas",
+                     "5000"],
+    }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     # The child must import the same lppnoise as this process, whatever
@@ -305,19 +316,22 @@ def test_criterion_12_csv_bytes_identical_across_threads(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outs = []
-    for threads, sub in (("1", "a"), ("4", "b")):
-        out = tmp_path / sub
-        proc = subprocess.run(
-            [sys.executable, "-m", "lppnoise", "run", "--config", str(cfg),
-             "--out", str(out), "--threads", threads],
-            capture_output=True, text=True, env=env)
+
+    def launch(*args):
+        proc = subprocess.run([sys.executable, "-m", "lppnoise", *args],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        outs.append(out)
-    a, b = outs
+
+    a, b, single = tmp_path / "a", tmp_path / "b", tmp_path / "single"
+    for out in (a, b):
+        launch("run", "--config", str(cfg), "--out", str(out))
+    for args in commands.values():
+        launch(*args, "--seed", str(seed), "--out", str(single))
     csvs = sorted(f.name for f in a.glob("*.csv"))
-    assert len(csvs) == 3
-    for name in csvs:
+    assert csvs == [f"{k:02d}_{stem}.csv" for k, stem in enumerate(commands)]
+    for name, stem in zip(csvs, commands):
         assert (a / name).read_bytes() == (b / name).read_bytes()
-    _report(12, f"{len(csvs)} experiment CSVs byte-identical for "
-                "--threads 1 vs --threads 4")
+        assert (a / name).read_bytes() == (single / f"{stem}.csv").read_bytes()
+    _report(12, f"{len(csvs)} experiment CSVs byte-identical across two "
+                "batch runs and the single commands, each in a fresh "
+                "interpreter")

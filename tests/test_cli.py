@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import csv
+import importlib
 import io
 
 import numpy as np
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 import lppnoise
 from lppnoise import cli
 from lppnoise.cli import main
-from lppnoise.lattice import (NoiseKind, NoisyPair, Rect, WeightConfig,
-                              noisy_weights, weights)
+from lppnoise.lattice import (NoiseKind, Rect, WeightConfig, noisy_stack,
+                              weights)
 from lppnoise.lpp import geodesic_report
 from lppnoise.stationary import build_stationary
 
@@ -62,6 +63,14 @@ def test_version_flag():
     assert res.exit_code == 0
 
 
+@pytest.mark.parametrize("module", ["cube", "estimators", "lattice", "lpp",
+                                    "manifest", "rng", "stationary"])
+def test_public_names_resolve(module):
+    mod = importlib.import_module(f"lppnoise.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+
+
 def test_corr_decay_writes_csv_and_summary(tmp_path):
     out = str(tmp_path)
     res = _invoke(["corr-decay", "--p", "0.5", "--n", "12", "--t", "0",
@@ -76,6 +85,20 @@ def test_corr_decay_writes_csv_and_summary(tmp_path):
     summary = json.loads((tmp_path / "corr_decay_summary.json").read_text())
     assert summary["name"] == "corr-decay" and summary["passed"] is True
     assert summary["seed"] == 3
+
+
+@pytest.mark.parametrize("times", [("0.0", "0.25", "1.0"),
+                                   ("1.0", "0.25", "0.0"),
+                                   ("0.0", "0.25", "0.25", "1.0")])
+def test_corr_decay_monotone_flag_ignores_time_order(tmp_path, times):
+    # judged over the distinct times in increasing order
+    args = ["corr-decay", "--n", "30", "--replicas", "60", "--seed", "3",
+            "--out", str(tmp_path)]
+    for t in times:
+        args += ["--t", t]
+    assert _invoke(args).exit_code == 0
+    summary = json.loads((tmp_path / "corr_decay_summary.json").read_text())
+    assert summary["monotone_decreasing"] is True
 
 
 def test_invalid_parameter_exits_one(tmp_path):
@@ -154,7 +177,7 @@ def test_dump_field_bytes_match_per_site_reference(tmp_path, lo, hi, kind):
     assert res.exit_code == 0
     cfg = WeightConfig(0.4, 41, Rect(lo, hi))
     w = weights(cfg)
-    nw = noisy_weights(NoisyPair(cfg, 0.7, NoiseKind[kind]))
+    nw = noisy_stack(cfg, (0.7,), NoiseKind[kind])[0]
     rows = [[lo[0] + i, lo[1] + j, int(w[i, j]), int(nw[i, j])]
             for i in range(w.shape[0]) for j in range(w.shape[1])]
     assert (tmp_path / "dump_field.csv").read_bytes() == _per_site_csv(
@@ -548,6 +571,32 @@ def test_run_missing_config_file(tmp_path):
     assert "config file not found" in res.output
 
 
+# "file" is a plain file, "bytes.json" is not UTF-8 and "c.json" runs no
+# experiment
+@pytest.mark.parametrize("args,path,message", [
+    (["run", "--config", "{tmp}"], "{tmp}", "cannot read config file"),
+    (["run", "--config", "{tmp}/bytes.json"], "{tmp}/bytes.json",
+     "cannot read config file"),
+    (["dump-field", "--hi", "1", "1", "--out", "{tmp}/file"], "{tmp}/file",
+     "cannot write to output directory"),
+    (["run", "--config", "{tmp}/c.json", "--out", "{tmp}/file"], "{tmp}/file",
+     "cannot write to output directory"),
+    (["dump-field", "--hi", "1", "1", "--out", "{tmp}/file/sub"],
+     "{tmp}/file/sub", "cannot write to output directory"),
+], ids=["config-dir", "config-not-utf8", "out-file", "run-out-file",
+        "out-under-file"])
+def test_unusable_path_is_a_config_error(tmp_path, args, path, message):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{")
+    (tmp_path / "c.json").write_text(json.dumps({"seed": 1,
+                                                 "experiments": []}))
+    res = _invoke([a.format(tmp=tmp_path) for a in args])
+    assert res.exit_code == 1
+    assert "Traceback" not in res.output
+    assert (f'configuration error: {message} "{path.format(tmp=tmp_path)}": '
+            in res.output)
+
+
 def test_run_empty_experiment_list_writes_manifest(tmp_path):
     out = tmp_path / "results"
     cfg = tmp_path / "c.json"
@@ -557,15 +606,6 @@ def test_run_empty_experiment_list_writes_manifest(tmp_path):
     assert res.exit_code == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["experiments"] == []
-
-
-def test_csv_bytes_identical_across_threads(tmp_path):
-    args = ["corr-decay", "--p", "0.5", "--n", "12", "--t", "0.3",
-            "--replicas", "40", "--seed", "7"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert _invoke(args + ["--out", str(a), "--threads", "1"]).exit_code == 0
-    assert _invoke(args + ["--out", str(b), "--threads", "3"]).exit_code == 0
-    assert (a / "corr_decay.csv").read_bytes() == (b / "corr_decay.csv").read_bytes()
 
 
 def _distribution_installed(name):

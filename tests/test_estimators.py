@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lppnoise import estimators
+from lppnoise import estimators, lattice
 from lppnoise.estimators import (bit_influence_on_Tn, corr_decay,
                                  corr_difference_ci,
                                  covariance_monotonicity_bruteforce,
@@ -22,7 +22,8 @@ from lppnoise.estimators import (bit_influence_on_Tn, corr_decay,
                                  sandwich_experiment, transversal_exponent,
                                  variance_scaling, visit_vs_influence,
                                  walk_spec)
-from lppnoise.lattice import NoiseKind, Rect, WeightConfig, site_bits, weights
+from lppnoise.lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
+                              site_bits, weights)
 from lppnoise.lpp import travel_time
 from lppnoise.rng import Stream, derive_seed, uniform_array
 from lppnoise.stationary import lambda_params
@@ -452,6 +453,16 @@ def test_bit_influence_outside_region_is_zero():
 def test_bit_influence_validation():
     with pytest.raises(ValueError):
         bit_influence_on_Tn(0.5, 6, (1, 1), -1, 40, seed=1)
+
+
+def test_bit_surgery_on_a_stream_without_ones_is_caught(monkeypatch):
+    # forcing bit 2 of a weight-2 site to 0 looks for the next one, which
+    # a broken stream never gives
+    monkeypatch.setattr(lattice, "bernoulli_at", lambda prefix, index, p:
+                        np.zeros(np.shape(index), dtype=bool))
+    cfg = WeightConfig(0.5, 7, Rect((0, 0), (4, 4)))
+    with pytest.raises(RngIntegrityError):
+        estimators._site_weight_variants(cfg, (1, 1), 2, 2)
 
 
 def test_influence_decays_in_bit_index():

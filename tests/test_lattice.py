@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppnoise import lattice
-from lppnoise.lattice import (CoupledFields, NoiseKind, NoisyPair, Rect,
+from lppnoise.lattice import (CoupledFields, NoiseKind, Rect,
                               RngIntegrityError, WeightConfig, coupled_cap,
-                              coupled_fields, noisy_stack, noisy_weights,
-                              scan_cap, site_bits, weights)
+                              coupled_fields, noisy_stack, scan_cap,
+                              site_bits, weights)
 from lppnoise.rng import Stream, exponential_array, uniform_array
 
 
@@ -93,13 +93,13 @@ def test_noise_time_zero_is_the_identity():
     cfg = _cfg((0, 0), (10, 10), seed=51)
     base = weights(cfg)
     for kind in (NoiseKind.BIT, NoiseKind.SITE):
-        assert np.array_equal(noisy_weights(NoisyPair(cfg, 0.0, kind)), base)
+        assert np.array_equal(noisy_stack(cfg, (0.0,), kind)[0], base)
 
 
 @pytest.mark.parametrize("t", [0.2, 1.0])
 def test_bit_dynamics_match_bitwise_oracle(t):
     cfg = _cfg((-1, -1), (4, 4), p=0.5, seed=61)
-    wt = noisy_weights(NoisyPair(cfg, t, NoiseKind.BIT))
+    wt = noisy_stack(cfg, (t,), NoiseKind.BIT)[0]
     for i in range(6):
         for j in range(6):
             assert wt[i, j] == _oracle_weight(cfg, -1 + i, -1 + j, t,
@@ -109,7 +109,7 @@ def test_bit_dynamics_match_bitwise_oracle(t):
 @pytest.mark.parametrize("t", [0.2, 1.0])
 def test_site_dynamics_match_bitwise_oracle(t):
     cfg = _cfg((-1, -1), (4, 4), p=0.5, seed=71)
-    wt = noisy_weights(NoisyPair(cfg, t, NoiseKind.SITE))
+    wt = noisy_stack(cfg, (t,), NoiseKind.SITE)[0]
     for i in range(6):
         for j in range(6):
             assert wt[i, j] == _oracle_weight(cfg, -1 + i, -1 + j, t,
@@ -118,9 +118,8 @@ def test_site_dynamics_match_bitwise_oracle(t):
 
 def test_single_site_noisy_field_matches_field():
     cfg = _cfg((0, 0), (6, 6), seed=81)
-    full = noisy_weights(NoisyPair(cfg, 0.7, NoiseKind.BIT))
-    one = noisy_weights(NoisyPair(_cfg((2, 5), (2, 5), seed=81), 0.7,
-                                  NoiseKind.BIT))
+    full = noisy_stack(cfg, (0.7,), NoiseKind.BIT)[0]
+    one = noisy_stack(_cfg((2, 5), (2, 5), seed=81), (0.7,), NoiseKind.BIT)[0]
     assert one.shape == (1, 1) and one[0, 0] == full[2, 5]
 
 
@@ -128,7 +127,7 @@ def test_noisy_marginal_is_preserved():
     # the time-t field is again i.i.d. Geom(p); check mean and P(w = 0)
     p, t = 0.5, 0.8
     cfg = _cfg((0, 0), (149, 149), p=p, seed=91)
-    wt = noisy_weights(NoisyPair(cfg, t, NoiseKind.BIT)).ravel()
+    wt = noisy_stack(cfg, (t,), NoiseKind.BIT)[0].ravel()
     assert abs(wt.mean() - 1.0) < 5 * np.sqrt(2.0 / wt.size)
     assert abs((wt == 0).mean() - p) < 5 * np.sqrt(p * (1 - p) / wt.size)
 
@@ -138,11 +137,11 @@ def test_agreement_probability_decreases_with_t():
     base = weights(cfg)
     same = []
     for t in (0.25, 1.0, 4.0):
-        wt = noisy_weights(NoisyPair(cfg, t, NoiseKind.BIT))
+        wt = noisy_stack(cfg, (t,), NoiseKind.BIT)[0]
         same.append((wt == base).mean())
     assert same[0] > same[1] + 0.05 > same[2] + 0.10
     # at huge t the pair is nearly independent: P(same) ~ sum_k P(w=k)^2 = 1/3
-    big = noisy_weights(NoisyPair(cfg, 50.0, NoiseKind.BIT))
+    big = noisy_stack(cfg, (50.0,), NoiseKind.BIT)[0]
     assert abs((big == base).mean() - 1.0 / 3.0) < 0.02
 
 
@@ -150,13 +149,13 @@ def test_coupled_fields_structure_and_cap():
     n, p, t = 20, 0.5, 0.05
     m = coupled_cap(n, p)
     cfg = _cfg((0, 0), (n, n), p=p, seed=121)
-    cf = coupled_fields(NoisyPair(cfg, t, NoiseKind.COUPLED, cap=m))
+    cf = coupled_fields(cfg, t, m)
     assert cf.cap == m
     assert np.array_equal(cf.base, weights(cfg))
     assert np.array_equal(cf.bit_t,
-                          noisy_weights(NoisyPair(cfg, t, NoiseKind.BIT)))
-    assert cf.base_capped.max() <= m and cf.site_mt_capped.max() <= m
-    assert np.array_equal(cf.base_capped, np.minimum(cf.base, m))
+                          noisy_stack(cfg, (t,), NoiseKind.BIT)[0])
+    assert np.minimum(cf.base, m).max() <= m
+    assert np.minimum(cf.site_mt, m).max() <= m
 
 
 def test_coupling_implication_is_exact():
@@ -166,7 +165,7 @@ def test_coupling_implication_is_exact():
     n, p, t = 15, 0.4, 0.08
     m = coupled_cap(n, p)
     cfg = _cfg((0, 0), (n, n), p=p, seed=131)
-    cf = coupled_fields(NoisyPair(cfg, t, NoiseKind.COUPLED, cap=m))
+    cf = coupled_fields(cfg, t, m)
     gx, gy = cfg.region.coord_grids()
     umin = exponential_array(cfg.seed, Stream.CLOCK_U, gx, gy, 0)
     for i in range(1, m):
@@ -174,7 +173,8 @@ def test_coupling_implication_is_exact():
                           exponential_array(cfg.seed, Stream.CLOCK_U, gx, gy, i))
     quiet = umin > t
     assert quiet.any() and (~quiet).any()
-    assert np.array_equal(cf.bit_t_capped[quiet], cf.base_capped[quiet])
+    assert np.array_equal(np.minimum(cf.bit_t, m)[quiet],
+                          np.minimum(cf.base, m)[quiet])
     assert np.array_equal(cf.site_mt[quiet], cf.base[quiet])
     # where the site clock rang, the site member is the replacement field,
     # which is independent of the base: check it is not simply the base
@@ -197,11 +197,9 @@ def test_validation_errors():
         WeightConfig(1.0, 1, Rect((0, 0), (1, 1)))
     cfg = _cfg((0, 0), (3, 3))
     with pytest.raises(ValueError):
-        NoisyPair(cfg, -0.1, NoiseKind.BIT)
+        coupled_fields(cfg, -0.1, 3)
     with pytest.raises(ValueError):
-        NoisyPair(cfg, 1.0, NoiseKind.COUPLED)  # missing cap
-    with pytest.raises(ValueError):
-        coupled_fields(NoisyPair(cfg, 1.0, NoiseKind.BIT))
+        coupled_fields(cfg, 1.0, 0)  # no cap M >= 1
     with pytest.raises(ValueError):
         coupled_cap(1, 0.5)
 
@@ -229,9 +227,10 @@ def _scan_one_member(n_sites, bit_fn):
     return out
 
 
-def _member_reference(cfg, t, kind, cap=None):
-    """One partner field decoded on its own from full keys: the BIT, SITE
-    or COUPLED (site member at M t) dynamics as stated in the module."""
+def _member_reference(cfg, t, kind=None, cap=None):
+    """One partner field decoded on its own from full keys: the BIT or
+    SITE dynamics, or with a cap and no kind the coupled site member at
+    M t, as stated in the module."""
     gx, gy = cfg.region.coord_grids()
     sx, sy = gx.ravel(), gy.ravel()
 
@@ -284,7 +283,7 @@ def test_fused_stack_matches_one_member_at_a_time(region, p, seed, times,
     for k, t in enumerate(times):
         ref = _member_reference(cfg, t, kind)
         assert np.array_equal(stack[k], ref)
-        assert np.array_equal(noisy_weights(NoisyPair(cfg, t, kind)), ref)
+        assert np.array_equal(noisy_stack(cfg, (t,), kind)[0], ref)
     assert np.array_equal(weights(cfg), _member_reference(cfg, 0.0, kind))
 
 
@@ -293,11 +292,11 @@ def test_fused_stack_matches_one_member_at_a_time(region, p, seed, times,
        t=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
 def test_coupled_fields_match_one_member_at_a_time(region, p, seed, cap, t):
     cfg = _cfg_of(region, p, seed)
-    cf = coupled_fields(NoisyPair(cfg, t, NoiseKind.COUPLED, cap))
+    cf = coupled_fields(cfg, t, cap)
     assert np.array_equal(cf.base, _member_reference(cfg, 0.0, NoiseKind.BIT))
     assert np.array_equal(cf.bit_t, _member_reference(cfg, t, NoiseKind.BIT))
     assert np.array_equal(cf.site_mt,
-                          _member_reference(cfg, t, NoiseKind.COUPLED, cap))
+                          _member_reference(cfg, t, cap=cap))
 
 
 @settings(max_examples=40, deadline=None)
@@ -315,10 +314,10 @@ def test_sub_rectangle_field_is_a_slice(region, p, seed, t, corner):
     cut = np.s_[i0:i1, j0:j1]
     assert np.array_equal(weights(sub), weights(cfg)[cut])
     for kind in (NoiseKind.BIT, NoiseKind.SITE):
-        assert np.array_equal(noisy_weights(NoisyPair(sub, t, kind)),
-                              noisy_weights(NoisyPair(cfg, t, kind))[cut])
-    big = coupled_fields(NoisyPair(cfg, t / 4, NoiseKind.COUPLED, 7))
-    small = coupled_fields(NoisyPair(sub, t / 4, NoiseKind.COUPLED, 7))
+        assert np.array_equal(noisy_stack(sub, (t,), kind)[0],
+                              noisy_stack(cfg, (t,), kind)[0][cut])
+    big = coupled_fields(cfg, t / 4, 7)
+    small = coupled_fields(sub, t / 4, 7)
     for name in ("base", "bit_t", "site_mt"):
         assert np.array_equal(getattr(small, name), getattr(big, name)[cut])
 
@@ -354,7 +353,5 @@ def test_scan_cap_depends_on_p_and_a_broken_stream_is_caught(monkeypatch):
 
 def test_noisy_stack_rejects_coupled_and_negative_times():
     cfg = _cfg((0, 0), (3, 3))
-    with pytest.raises(ValueError):
-        noisy_stack(cfg, (0.5,), NoiseKind.COUPLED)
     with pytest.raises(ValueError):
         noisy_stack(cfg, (0.5, -0.1), NoiseKind.BIT)

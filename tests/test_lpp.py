@@ -14,9 +14,9 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import brute_geodesics, brute_travel
 from lppnoise import lpp
-from lppnoise.lpp import (MAX_TABLE_SIDE, backward_table, extreme_path,
-                          forward_table, geodesic_report, increment_profile,
-                          path_above, travel_time)
+from lppnoise.lpp import (backward_table, extreme_path, forward_table,
+                          geodesic_report, increment_profile, path_above,
+                          travel_time)
 
 
 def _python_forward(w):
@@ -171,13 +171,11 @@ def test_path_above_basics():
         path_above(np.array([(0, 0), (0, 1)]), np.array([(5, 0), (5, 1)]))
 
 
-def test_table_side_guard():
-    w = np.zeros((1, MAX_TABLE_SIDE + 1), dtype=np.int64)
-    with pytest.raises(ValueError):
-        geodesic_report(w)
-    rep = geodesic_report(w, allow_large=True)
-    assert rep.value == 0
-    assert travel_time(w) == 0  # streaming path has no cap
+def test_wide_field():
+    # wider than any side the CLI accepts (4001 sites)
+    w = np.zeros((1, 4002), dtype=np.int64)
+    assert geodesic_report(w).value == 0
+    assert travel_time(w) == 0
 
 
 def test_weight_validation():
