@@ -4,7 +4,9 @@ Every experiment derives one sub-seed per replica from its master seed,
 so results are pure functions of ``(seed, parameters)``.  Paired
 designs (noise correlations across several times, coupled dynamics)
 reuse the same replica sub-seed so all coupling happens through the
-keyed randomness itself.
+keyed randomness itself.  The lattice replica loops decode their fields
+in the groups of ``lattice.replica_groups`` and, where only travel times
+are needed, run the DP on each group's stack; grouping changes no value.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
-                      coupled_cap, coupled_fields, noisy_stack, scan_cap,
-                      site_bits, weights)
-from .lpp import (backward_table, extreme_path, forward_table, geodesic_report,
+                      coupled_cap, coupled_group, noisy_group, replica_groups,
+                      scan_cap, site_bits, weight_group, weights)
+from .lpp import (backward_table, extreme_path, forward_table, geodesic_mask,
                   travel_time)
 from .rng import Stream, derive_seed, uniform_array
 from .stationary import build_stationary
@@ -140,20 +142,48 @@ def pearson_ci_calibration(rho: float, n_pairs: int, trials: int,
     return covered
 
 
+# The most resampled indices one bootstrap chunk holds (2**12 int64
+# indices are 32 KiB); chunks of 2**16 saved no time and raised the peak
+# RSS of a noise-compare batch.
+_BOOT_DRAW_BUDGET = 2**12
+
+
 def _bootstrap(seed: int, n_boot: int, sizes, stat) -> np.ndarray:
     """``n_boot`` bootstrap values of ``stat``.  Resample ``b`` draws
     ``rng.integers(0, m, m)`` for each ``m`` in ``sizes``, in order, from
-    one generator seeded with ``seed``; its value is ``stat`` of those
-    index arrays."""
+    one generator seeded with ``seed``.  Resamples are taken in chunks of
+    at most ``_BOOT_DRAW_BUDGET`` indices (one resample at least); ``stat``
+    gets one ``(chunk, m)`` array of stacked index arrays per size and
+    returns the chunk's values."""
     rng = np.random.default_rng(seed)
     boots = np.empty(n_boot)
-    for b in range(n_boot):
-        boots[b] = stat(*[rng.integers(0, m, m) for m in sizes])
+    chunk = max(1, _BOOT_DRAW_BUDGET // sum(sizes))
+    for a in range(0, n_boot, chunk):
+        draws = [[rng.integers(0, m, m) for m in sizes]
+                 for _ in range(min(chunk, n_boot - a))]
+        stacked = [np.array(per_size) for per_size in zip(*draws)]
+        boots[a:a + len(draws)] = stat(*stacked)
     return boots
 
 
 def _square(n: int) -> Rect:
     return Rect((0, 0), (n, n))
+
+
+def _replica_seeds(seed: int, first: int, count: int) -> list[int]:
+    """The sub-seeds of replicas ``first .. first + count - 1``."""
+    return [derive_seed(seed, Stream.REPLICA, r)
+            for r in range(first, first + count)]
+
+
+def _field_map(fn, p: float, seeds, region: Rect) -> list:
+    """``fn(w)`` for the weight field ``w`` of each replica seed, in order.
+    Fields are decoded in the groups of ``replica_groups``, and a group is
+    freed before the next one is decoded."""
+    def group_values(group) -> list:
+        return [fn(w) for w in weight_group(p, group, region)]
+    return [v for group in replica_groups(seeds, region)
+            for v in group_values(group)]
 
 
 # ---------------------------------------------------------------- noise decay
@@ -172,10 +202,28 @@ class CorrDecayResult:
     samples: np.ndarray = None
 
 
-def _corr_diff(base, a, b, idx) -> float:
-    """corr(base, a) - corr(base, b) on the resampled rows ``idx``."""
-    return (np.corrcoef(base[idx], a[idx])[0, 1]
-            - np.corrcoef(base[idx], b[idx])[0, 1])
+def _corr_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.corrcoef(x[b], y[b])[0, 1]`` for every row b of two (B, m)
+    arrays, bit for bit: the same steps as ``np.cov`` and ``np.corrcoef``
+    (row means, centring, the product with the transpose, scaling by
+    1/(m-1), division by the standard deviations along rows and then
+    columns, clipping), each on a stack of B 2 x m matrices.  A constant
+    row gives NaN, as in ``np.corrcoef``."""
+    xy = np.stack((x, y), axis=1).astype(np.float64, copy=False)
+    xy -= xy.mean(axis=-1)[..., None]
+    c = xy @ xy.transpose(0, 2, 1)
+    c *= np.true_divide(1, x.shape[-1] - 1)
+    stddev = np.sqrt(np.diagonal(c, axis1=1, axis2=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c /= stddev[:, :, None]
+        c /= stddev[:, None, :]
+    np.clip(c, -1, 1, out=c)
+    return c[:, 0, 1]
+
+
+def _corr_diff(base, a, b, idx) -> np.ndarray:
+    """corr(base, a) - corr(base, b) on each resample (row) of ``idx``."""
+    return _corr_rows(base[idx], a[idx]) - _corr_rows(base[idx], b[idx])
 
 
 def _boot_estimate(point: float, boots: np.ndarray,
@@ -219,11 +267,17 @@ def corr_decay(p: float, n: int, t_values, kind: NoiseKind, replicas: int,
     times = np.unique((0.0,) + t_values)
     cols = np.searchsorted(times, (0.0,) + t_values)
 
-    def one(r: int) -> np.ndarray:
-        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r), _square(n))
-        return travel_time(noisy_stack(cfg, times, kind))[cols]
+    region = _square(n)
 
-    rows = np.array([one(r) for r in range(replicas)], dtype=np.float64)
+    def group_rows(group) -> np.ndarray:
+        stack = noisy_group(p, group, region, times, kind)
+        tt = travel_time(stack.reshape((-1,) + region.shape))
+        return tt.reshape(times.size, -1).T[:, cols]
+
+    seeds = _replica_seeds(seed, 0, replicas)
+    rows = np.concatenate([group_rows(group) for group
+                           in replica_groups(seeds, region)])
+    rows = rows.astype(np.float64)
     ests = tuple(pearson_estimate(rows[:, 0], rows[:, 1 + k])
                  for k in range(len(t_values)))
     return CorrDecayResult(p, n, kind, t_values, ests, replicas, seed, rows)
@@ -252,8 +306,11 @@ def _bootstrap_slope(log_n: np.ndarray, samples: list[np.ndarray], stat_fn,
     slope = float(np.polyfit(log_n, np.log(point), 1)[0])
 
     def refit(*idx):
-        ys = np.array([stat_fn(s[i]) for s, i in zip(samples, idx)])
-        return np.polyfit(log_n, np.log(np.maximum(ys, 1e-300)), 1)[0]
+        out = np.empty(len(idx[0]))
+        for b in range(out.size):
+            ys = np.array([stat_fn(s[i[b]]) for s, i in zip(samples, idx)])
+            out[b] = np.polyfit(log_n, np.log(np.maximum(ys, 1e-300)), 1)[0]
+        return out
 
     boots = _bootstrap(seed, n_boot, [s.size for s in samples], refit)
     lo, hi = np.percentile(boots, [2.5, 97.5])
@@ -281,10 +338,11 @@ def variance_scaling(p: float, n_list, replicas: int, seed: int,
         raise ValueError(f"need >= 2 replicas, got {replicas}")
     samples = []
     for pos, n in enumerate(n_list):
-        def one(r: int, n=n, pos=pos) -> float:
-            sub = derive_seed(seed, Stream.REPLICA, pos * replicas + r)
-            return float(travel_time(weights(WeightConfig(p, sub, _square(n)))))
-        samples.append(np.array([one(r) for r in range(replicas)]))
+        region = _square(n)
+        seeds = _replica_seeds(seed, pos * replicas, replicas)
+        samples.append(np.concatenate([
+            travel_time(weight_group(p, group, region))
+            for group in replica_groups(seeds, region)]).astype(np.float64))
     fit = _bootstrap_slope(np.log(np.array(n_list, dtype=float)), samples,
                            lambda s: s.var(ddof=1), n_boot,
                            derive_seed(seed, Stream.GENERIC, 10**6))
@@ -309,10 +367,10 @@ def geodesic_heatmap(p: float, n: int, replicas: int,
     if replicas < 1:
         raise ValueError("need at least one replica")
 
+    region = _square(n)
     counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for r in range(replicas):
-        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r), _square(n))
-        counts += geodesic_report(weights(cfg)).member_mask
+    for group in replica_groups(_replica_seeds(seed, 0, replicas), region):
+        counts += sum(map(geodesic_mask, weight_group(p, group, region)))
     return HeatmapResult(p, n, replicas, counts, seed)
 
 
@@ -349,6 +407,14 @@ class TransversalResult:
     seed: int
 
 
+def _midline_deviation(w: np.ndarray) -> float:
+    """max |x2 - n/2| over the upmost geodesic's points on x1 = n/2."""
+    n = w.shape[0] - 1
+    path = extreme_path(forward_table(w), w, upmost=True)
+    mid = path[path[:, 0] == n // 2, 1]
+    return float(np.max(np.abs(mid - n / 2.0)))
+
+
 def transversal_exponent(p: float, n_list, replicas: int, seed: int,
                          n_boot: int = 1000) -> TransversalResult:
     """Median midline deviation of the upmost geodesic against n.
@@ -362,14 +428,10 @@ def transversal_exponent(p: float, n_list, replicas: int, seed: int,
                          f"scales, got {list(n_list)}")
     samples = []
     for pos, n in enumerate(n_list):
-        def one(r: int, n=n, pos=pos) -> float:
-            sub = derive_seed(seed, Stream.REPLICA, pos * replicas + r)
-            cfg = WeightConfig(p, sub, _square(n))
-            w = weights(cfg)
-            path = extreme_path(forward_table(w), w, upmost=True)
-            mid = path[path[:, 0] == n // 2, 1]
-            return float(np.max(np.abs(mid - n / 2.0)))
-        samples.append(np.array([one(r) for r in range(replicas)]))
+        region = _square(n)
+        seeds = _replica_seeds(seed, pos * replicas, replicas)
+        samples.append(np.array(_field_map(_midline_deviation, p, seeds,
+                                           region)))
     fit = _bootstrap_slope(np.log(np.array(n_list, dtype=float)), samples,
                            lambda s: float(np.median(s)), n_boot,
                            derive_seed(seed, Stream.GENERIC, 10**6 + 1))
@@ -385,14 +447,12 @@ def envelope_frequencies(p: float, n: int, widths, replicas: int,
     dist = np.minimum(i + j, 2 * n - i - j).astype(float)
     margin = np.abs(j - i) - dist ** 0.75
 
-    def one(r: int) -> np.ndarray:
-        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r), _square(n))
-        mask = geodesic_report(weights(cfg)).member_mask
-        return np.array([not (mask & (margin > w)).any() for w in widths])
-
-    inside = np.array([one(r) for r in range(replicas)])
-    return [(w, fraction_estimate(int(inside[:, k].sum()), replicas))
-            for k, w in enumerate(widths)]
+    # the widest margin on the geodesic set of each field; the mask holds
+    # both corners, so it is never empty
+    tops = np.array(_field_map(lambda w: margin[geodesic_mask(w)].max(), p,
+                               _replica_seeds(seed, 0, replicas), _square(n)))
+    return [(w, fraction_estimate(int((tops <= w).sum()), replicas))
+            for w in widths]
 
 
 # ------------------------------------------------------------- walk bounds
@@ -635,14 +695,14 @@ def _influence_rows(p: float, n: int, v_list, i_max: int, replicas: int,
         w = weights(cfg)
         f, b = forward_table(w), backward_table(w)
         total = int(f[-1, -1])
-        mask = (f + b - w) == total
         samp = np.zeros((len(v_list), i_max + 1))
         visits = np.zeros(len(v_list), dtype=bool)
         for a, v in enumerate(v_list):
-            visits[a] = mask[v]
             w_v = int(w[v])
-            # best path sum through v with v's own weight removed
+            # best path sum through v with v's own weight removed; v is
+            # on a geodesic iff the best path through it is optimal
             base_path = int(f[v] + b[v]) - 2 * w_v
+            visits[a] = base_path + w_v == total
             wmod = w.copy()
             wmod[v] = _AVOID
             t_avoid = travel_time(wmod)
@@ -802,14 +862,20 @@ def noise_comparison(p: float, n: int, t: float, replicas: int,
         raise ValueError(f"need >= 30 replicas, got {replicas}")
     cap = coupled_cap(n, p)
 
-    def one(r: int):
-        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r), _square(n))
-        cf = coupled_fields(cfg, t, cap)
-        fields = np.stack((cf.base, cf.bit_t, cf.site_mt))
-        return travel_time(np.concatenate((fields, np.minimum(fields, cap))))
+    region = _square(n)
 
-    rows = np.array([one(r) for r in range(replicas)], dtype=np.float64)
-    t0, tb, ts, t0c, tbc, tsc = rows.T
+    def group_rows(group) -> np.ndarray:
+        fields = coupled_group(p, group, region, t, cap)
+        fields = fields.reshape((-1,) + region.shape)
+        tt = travel_time(fields)
+        capped = travel_time(np.minimum(fields, cap, out=fields))
+        return np.concatenate((tt, capped)).reshape(6, -1)
+
+    # base, bit and site members, then the same capped at M
+    seeds = _replica_seeds(seed, 0, replicas)
+    t0, tb, ts, t0c, tbc, tsc = np.concatenate(
+        [group_rows(group) for group in replica_groups(seeds, region)],
+        axis=1).astype(np.float64)
     corr_bit = pearson_estimate(t0, tb)
     corr_site = pearson_estimate(t0, ts)
     boots = _bootstrap(derive_seed(seed, Stream.GENERIC, 10**6 + 2), 1000,

@@ -35,6 +35,18 @@ the keyed hash is a chain of splitmix64 finalizers (Steele, Lea & Flood,
 OOPSLA 2014) used as a counter-based generator (Salmon et al., SC'11), so
 a skipped draw is one whose value cannot matter and the fields equal a
 decode of each member on its own, bit for bit.
+
+For the same reason any grouping of sites gives the same values, and
+the replica loops decode in groups under one site budget,
+``_SITE_BUDGET`` (2**15 sites).  ``replica_groups`` packs the seeds of
+small fields into groups of whole replicas up to the budget, and
+``weight_group``, ``noisy_group`` and ``coupled_group`` decode a group
+as one ``(R, n1, n2)`` stack in one scan, with the seeds as a
+``(R, 1, 1)`` key column.  A group of k >= 2 budgets is decoded in k
+strips of equal rows, which keeps a scan's temporaries in cache (loop
+blocking: Lam, Rothberg & Wolf, ASPLOS 1991); fields of 40-45k sites
+stay whole.  ``weights``, ``noisy_stack`` and ``coupled_fields`` are the
+one-seed case of the group decoders.
 """
 
 from __future__ import annotations
@@ -54,14 +66,22 @@ __all__ = [
     "WeightConfig",
     "NoiseKind",
     "CoupledFields",
+    "replica_groups",
+    "weight_group",
     "weights",
+    "noisy_group",
     "noisy_stack",
+    "coupled_group",
     "coupled_fields",
     "coupled_cap",
     "site_bits",
 ]
 
 _SCAN_TAIL = 40 * math.log(10)   # scan_cap: unresolved w.p. <= 1e-40
+# Sites one decode holds: replica_groups packs small fields up to this
+# many sites, and _by_strips cuts a group of k >= 2 times as many into k
+# strips.
+_SITE_BUDGET = 2**15
 
 
 class RngIntegrityError(RuntimeError):
@@ -103,8 +123,12 @@ class WeightConfig:
     region: Rect
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0, 1), got {self.p}")
+        _check_p(self.p)
+
+
+def _check_p(p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
 
 
 class NoiseKind(Enum):
@@ -164,21 +188,24 @@ def _ring_by(t: np.ndarray) -> np.ndarray:
     return np.where(t > 0.0, t, -np.inf)
 
 
-def _decode(seed: int, p: float, sx, sy, times=(0.0,),
+def _decode(seed, p: float, sx, sy, times=(0.0,),
             tag: Stream = Stream.BIT_X) -> np.ndarray:
-    """Weights of one member per noise time on the sites ``(sx, sy)``.
+    """Weights of one member per noise time on the keys ``(seed, sx, sy)``.
 
     Member k decodes the first one among the bits of the ``tag`` stream,
     where bit i of a site is replaced by its ``BIT_XPRIME`` bit once the
     site's i-th ``CLOCK_U`` clock is <= ``times[k]`` (never for a time
     of 0).  All members share one scan over the union of their
     unresolved sites, and each stream is hashed from a per-site key
-    prefix.  Returns shape ``(len(times),) + broadcast(sx, sy)``.
+    prefix.  ``seed`` is an int or a uint64 array that broadcasts with sx
+    and sy; seeds shaped ``(R, 1, 1)`` decode R replicas in one scan.
+    Returns shape ``(len(times),) + broadcast(seed, sx, sy)``.
     """
-    shape = np.broadcast_shapes(np.shape(sx), np.shape(sy))
     t = np.asarray(times, dtype=np.float64)
     ring_by = _ring_by(t)[:, None]
-    px = key_prefix(seed, tag, sx, sy).ravel()
+    px = key_prefix(seed, tag, sx, sy)
+    shape = np.shape(px)
+    px = px.ravel()
     if (t > 0.0).any():
         pu = key_prefix(seed, Stream.CLOCK_U, sx, sy).ravel()
         pr = key_prefix(seed, Stream.BIT_XPRIME, sx, sy).ravel()
@@ -206,42 +233,125 @@ def _open_grid(region: Rect) -> tuple[np.ndarray, np.ndarray]:
     return xs[:, None], ys[None, :]
 
 
-def _replacement_at(cfg: WeightConfig, mask: np.ndarray) -> np.ndarray:
-    """The independent replacement field (stream ``BIT_XPRIME``) on the
-    sites of the region where ``mask`` is set, in row-major order."""
-    gx, gy = cfg.region.coord_grids()
-    return _decode(cfg.seed, cfg.p, gx[mask], gy[mask],
-                   tag=Stream.BIT_XPRIME)[0]
+def replica_groups(seeds, region: Rect) -> list[list[int]]:
+    """Replica seeds, in order, cut into the seed lists of the ``*_group``
+    decoders: whole replicas with at most ``_SITE_BUDGET`` sites of
+    ``region`` in all (one replica at least)."""
+    n1, n2 = region.shape
+    per = max(1, _SITE_BUDGET // (n1 * n2))
+    seeds = list(seeds)
+    return [seeds[a:a + per] for a in range(0, len(seeds), per)]
+
+
+def _by_strips(decode, seeds, region: Rect) -> np.ndarray:
+    """``decode(seed column, xs, ys)`` over the sites of ``region`` for all
+    ``seeds`` at once, with the seeds as a ``(R, 1, 1)`` column and the
+    region as an open grid.
+
+    A group of ``k * _SITE_BUDGET`` sites or more, k >= 2, is decoded in
+    up to k strips of equal rows (the last may be shorter), joined along
+    the row axis (-2); each value is a pure function of its own site's
+    keys, so the strips give the same values as one decode."""
+    # mod 2**64, as key_prefix reduces an int seed
+    col = np.array([int(s) % 2**64 for s in seeds],
+                   dtype=np.uint64)[:, None, None]
+    xs, ys = _open_grid(region)
+    n1, n2 = region.shape
+    k = col.size * n1 * n2 // _SITE_BUDGET
+    if k < 2:
+        return decode(col, xs, ys)
+    rows = -(-n1 // k)
+    return np.concatenate([decode(col, xs[a:a + rows], ys)
+                           for a in range(0, n1, rows)], axis=-2)
+
+
+def _replacement(p: float, col, xs, ys, mask: np.ndarray) -> np.ndarray:
+    """The independent replacement weights (stream ``BIT_XPRIME``) on the
+    sites of the ``(R, n1, n2)`` grid where ``mask`` is set, in row-major
+    order."""
+    def at(a):
+        return np.broadcast_to(a, mask.shape)[mask]
+    return _decode(at(col), p, at(xs), at(ys), tag=Stream.BIT_XPRIME)[0]
+
+
+def weight_group(p: float, seeds, region: Rect) -> np.ndarray:
+    """The weight fields of the replica ``seeds`` on ``region``, decoded
+    from the bit streams in one scan: shape ``(R, n1, n2)``."""
+    _check_p(p)
+    return _by_strips(lambda col, xs, ys: _decode(col, p, xs, ys)[0],
+                      seeds, region)
 
 
 def weights(cfg: WeightConfig) -> np.ndarray:
     """The full weight array of the region, decoded from the bit streams."""
-    return _decode(cfg.seed, cfg.p, *_open_grid(cfg.region))[0]
+    return weight_group(cfg.p, (cfg.seed,), cfg.region)[0]
 
 
-def noisy_stack(cfg: WeightConfig, t_values, kind: NoiseKind) -> np.ndarray:
-    """The time-t partners of one field for every t, from one decode.
+def noisy_group(p: float, seeds, region: Rect, t_values,
+                kind: NoiseKind) -> np.ndarray:
+    """The time-t partners of the replica fields for every t, from one
+    decode: shape ``(len(t_values), R, n1, n2)``.
 
-    Returns a ``(len(t_values), n1, n2)`` array whose k-th member is the
-    ``kind`` partner at ``t_values[k]`` (the field itself where t = 0).
-    BIT partners share one scan; SITE partners share the base field and
-    decode the replacement field only where a site clock rang by the
-    largest t.
+    Member k is the ``kind`` partner at ``t_values[k]`` (the field itself
+    where t = 0).  BIT partners share one scan; SITE partners share the
+    base field and decode the replacement field only where a site clock
+    rang by the largest t.
     """
+    _check_p(p)
     t = np.asarray(t_values, dtype=np.float64)
     if t.ndim != 1 or (t < 0.0).any():
         raise ValueError(f"noise times must be a list of values >= 0, "
                          f"got {t_values}")
     if kind is NoiseKind.BIT:
-        return _decode(cfg.seed, cfg.p, *_open_grid(cfg.region), t)
-    grid = _open_grid(cfg.region)
-    base = _decode(cfg.seed, cfg.p, *grid)[0]
-    clock = exponential_at(key_prefix(cfg.seed, Stream.SITE_CLOCK, *grid), 0)
-    rung = clock <= _ring_by(t)[:, None, None]
-    swapped = rung.any(axis=0)
-    repl = base.copy()
-    repl[swapped] = _replacement_at(cfg, swapped)
-    return np.where(rung, repl, base)
+        return _by_strips(lambda col, xs, ys: _decode(col, p, xs, ys, t),
+                          seeds, region)
+
+    def site(col, xs, ys):
+        base = _decode(col, p, xs, ys)[0]
+        clock = exponential_at(key_prefix(col, Stream.SITE_CLOCK, xs, ys), 0)
+        rung = clock <= _ring_by(t)[:, None, None, None]
+        swapped = rung.any(axis=0)
+        repl = base.copy()
+        repl[swapped] = _replacement(p, col, xs, ys, swapped)
+        return np.where(rung, repl, base)
+
+    return _by_strips(site, seeds, region)
+
+
+def noisy_stack(cfg: WeightConfig, t_values, kind: NoiseKind) -> np.ndarray:
+    """The ``(len(t_values), n1, n2)`` stack of the ``kind`` partners of
+    one field at every t (``noisy_group`` for one seed)."""
+    return noisy_group(cfg.p, (cfg.seed,), cfg.region, t_values, kind)[:, 0]
+
+
+def coupled_group(p: float, seeds, region: Rect, t: float,
+                  cap: int) -> np.ndarray:
+    """The replica fields with their BIT partners at time t and their site
+    partners at time M*t under the coupled site clock, for the cap
+    M = ``cap``: shape ``(3, R, n1, n2)`` for base, BIT and site members."""
+    _check_p(p)
+    if t < 0.0:
+        raise ValueError(f"noise time must be >= 0, got {t}")
+    if cap < 1:
+        raise ValueError(f"coupled dynamics needs a cap M >= 1, got {cap}")
+    m = int(cap)
+
+    def decode(col, xs, ys):
+        out = np.empty((3, col.size, xs.size, ys.size), dtype=np.int64)
+        out[:2] = _decode(col, p, xs, ys, (0.0, t))
+        out[2] = out[0]
+        if t > 0.0:
+            # U~ <= M*t iff one of the first M per-bit clocks is <= t; a
+            # site's clocks are read only up to the first such one
+            pu = key_prefix(col, Stream.CLOCK_U, xs, ys).ravel()
+            first = _first_hits(pu.size, 1, m,
+                                lambda alive, pending, i:
+                                exponential_at(pu[alive], i) <= t)
+            rung = (first[0] >= 0).reshape(out.shape[1:])
+            out[2][rung] = _replacement(p, col, xs, ys, rung)
+        return out
+
+    return _by_strips(decode, seeds, region)
 
 
 @dataclass(frozen=True)
@@ -261,26 +371,11 @@ class CoupledFields:
 def coupled_fields(cfg: WeightConfig, t: float,
                    cap: int) -> CoupledFields:
     """A field with its BIT partner at time t and its site partner at time
-    M*t under the coupled site clock, for the cap M = ``cap``."""
-    if t < 0.0:
-        raise ValueError(f"noise time must be >= 0, got {t}")
-    if cap < 1:
-        raise ValueError(f"coupled dynamics needs a cap M >= 1, got {cap}")
-    m = int(cap)
-    grid = _open_grid(cfg.region)
-    base, bit_t = _decode(cfg.seed, cfg.p, *grid, (0.0, t))
-    if t == 0.0:
-        return CoupledFields(base, bit_t, base.copy(), m)
-    # U~ <= M*t iff one of the first M per-bit clocks is <= t; a site's
-    # clocks are read only up to the first such one
-    pu = key_prefix(cfg.seed, Stream.CLOCK_U, *grid).ravel()
-    first = _first_hits(pu.size, 1, m,
-                        lambda alive, pending, i:
-                        exponential_at(pu[alive], i) <= t)
-    rung = (first[0] >= 0).reshape(base.shape)
-    site_mt = base.copy()
-    site_mt[rung] = _replacement_at(cfg, rung)
-    return CoupledFields(base, bit_t, site_mt, m)
+    M*t under the coupled site clock, for the cap M = ``cap``
+    (``coupled_group`` for one seed)."""
+    base, bit_t, site_mt = coupled_group(cfg.p, (cfg.seed,), cfg.region, t,
+                                         cap)[:, 0]
+    return CoupledFields(base, bit_t, site_mt, int(cap))
 
 
 def coupled_cap(n: int, p: float) -> int:

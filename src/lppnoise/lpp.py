@@ -12,10 +12,10 @@ so the quadratic table costs O(area) vector work in O(rows) ufunc calls
 instead of a Python-level double loop; ``travel_time`` runs it over a
 whole stack of fields at once.
 
-``geodesic_report`` returns the exact geodesic set (as a vertex mask,
-which needs the forward and backward tables) plus the upmost and
-downmost geodesics, which ``extreme_path`` backtracks greedily on the
-forward table alone.
+``geodesic_mask`` gives the exact geodesic set as a vertex mask, which
+needs the forward and backward tables; ``geodesic_report`` adds the
+upmost and downmost geodesics, which ``extreme_path`` backtracks
+greedily on the forward table alone.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "backward_table",
     "travel_time",
     "extreme_path",
+    "geodesic_mask",
     "GeodesicReport",
     "geodesic_report",
     "path_above",
@@ -139,14 +140,25 @@ def extreme_path(f: np.ndarray, w: np.ndarray, upmost: bool) -> np.ndarray:
     return np.array(path[::-1], dtype=np.int64)
 
 
+def _on_geodesic(f: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # the best path through (i, j) scores F + B - w; it is a geodesic iff
+    # that equals the travel time
+    return (f + b - w) == f[-1, -1]
+
+
+def geodesic_mask(w: np.ndarray) -> np.ndarray:
+    """``mask[i, j]`` is true iff (i, j) lies on at least one geodesic."""
+    w = _check_weights(w)
+    return _on_geodesic(forward_table(w), backward_table(w), w)
+
+
 def geodesic_report(w: np.ndarray) -> GeodesicReport:
     """Geodesic set and extreme geodesics via forward/backward tables."""
     w = _check_weights(w)
     f = forward_table(w)
-    b = backward_table(w)
-    total = int(f[-1, -1])
-    mask = (f + b - w) == total
-    return GeodesicReport(total, mask, extreme_path(f, w, upmost=True),
+    mask = _on_geodesic(f, backward_table(w), w)
+    return GeodesicReport(int(f[-1, -1]), mask,
+                          extreme_path(f, w, upmost=True),
                           extreme_path(f, w, upmost=False))
 
 

@@ -86,12 +86,18 @@ def _as_u64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.int64).astype(np.uint64)
 
 
-def key_prefix(seed: int, tag: Stream, sx, sy) -> np.ndarray:
-    """Hash state after absorbing ``(seed, tag, sx, sy)``; broadcasts sx, sy.
+def key_prefix(seed, tag: Stream, sx, sy) -> np.ndarray:
+    """Hash state after absorbing ``(seed, tag, sx, sy)``.
 
-    Open grids (``xs[:, None]``, ``ys[None, :]``) absorb each x once."""
+    ``seed`` is an int or a uint64 array of seeds, such as one seed per
+    replica shaped ``(R, 1, 1)``; it broadcasts with sx and sy.  Open
+    grids (``xs[:, None]``, ``ys[None, :]``) absorb each x once per seed."""
     with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        h = _mix(_U64((int(seed) + _GOLDEN * (int(tag) + 1)) & _MASK64))
+        if isinstance(seed, np.ndarray):
+            h = _mix(seed.astype(np.uint64)
+                     + _U64((_GOLDEN * (int(tag) + 1)) & _MASK64))
+        else:
+            h = _mix(_U64((int(seed) + _GOLDEN * (int(tag) + 1)) & _MASK64))
         h = _mix(h ^ (_as_u64(sx) * _U64(_MUL_A)))
         h = _mix(h ^ (_as_u64(sy) * _U64(_MUL_B)))
     return h

@@ -23,8 +23,8 @@ from lppnoise.estimators import (bit_influence_on_Tn, corr_decay,
                                  variance_scaling, visit_vs_influence,
                                  walk_spec)
 from lppnoise.lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
-                              site_bits, weights)
-from lppnoise.lpp import travel_time
+                              coupled_cap, coupled_fields, site_bits, weights)
+from lppnoise.lpp import geodesic_report, travel_time
 from lppnoise.rng import Stream, derive_seed, uniform_array
 from lppnoise.stationary import lambda_params
 
@@ -187,6 +187,125 @@ def test_corr_difference_ci_matches_the_old_loop():
     d = corr_difference_ci(res, 0, 1, n_boot=300)
     lo, hi = np.percentile(boots, [2.5, 97.5])
     assert (d.stderr, d.ci_low, d.ci_high) == (boots.std(ddof=1), lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.one_of(st.integers(4, 60), st.integers(61, 3000)),
+       rows=st.integers(1, 12), top=st.sampled_from([1, 2, 5, 300, 10**6]),
+       data_seed=st.integers(0, 2**32 - 1), constant=st.booleans())
+def test_batched_correlation_equals_np_corrcoef(m, rows, top, data_seed,
+                                                constant):
+    gen = np.random.default_rng(data_seed)
+    # integer-valued samples, like travel times; few distinct values give
+    # ties and constant rows (NaN)
+    x, y = gen.integers(0, top, (2, rows, m)).astype(float)
+    if constant:
+        x[0] = x[0, 0]
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = np.array([np.corrcoef(a, b)[0, 1] for a, b in zip(x, y)])
+    got = estimators._corr_rows(x, y)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 500, estimators._BOOT_DRAW_BUDGET])
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(4, 300), n_boot=st.integers(1, 120),
+       seed=st.integers(0, 2**64 - 1), data_seed=st.integers(0, 2**32 - 1))
+def test_bootstrap_chunks_match_the_old_loops(budget, m, n_boot, seed,
+                                              data_seed):
+    gen = np.random.default_rng(data_seed)
+    base, a, b = gen.integers(0, 6, (3, m)).astype(float)
+    samples = [gen.integers(1, 9, k).astype(float) for k in (m, m // 2 + 2)]
+    log_n = np.log([8.0, 16.0])
+    with mock.patch.object(estimators, "_BOOT_DRAW_BUDGET", budget), \
+            np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # constant resamples give NaN
+        got = estimators._bootstrap(
+            seed, n_boot, [m], lambda i: estimators._corr_diff(base, a, b, i))
+        want = _noise_comparison_loop(seed, n_boot, base, a, b)
+        fit = estimators._bootstrap_slope(log_n, samples,
+                                          lambda s: s.var(ddof=1), n_boot,
+                                          seed)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    slopes = _bootstrap_slope_loop(seed, n_boot, log_n, samples,
+                                   lambda s: s.var(ddof=1))
+    assert np.array_equal([fit.ci_low, fit.ci_high],
+                          np.percentile(slopes, [2.5, 97.5]), equal_nan=True)
+
+
+def _noise_comparison_per_replica(p, n, t, replicas, seed):
+    """noise_comparison's travel times, one replica at a time, with its
+    bootstrap as the old per-resample loop."""
+    cap = coupled_cap(n, p)
+    rows = []
+    for r in range(replicas):
+        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r),
+                           Rect((0, 0), (n, n)))
+        cf = coupled_fields(cfg, t, cap)
+        fields = np.stack((cf.base, cf.bit_t, cf.site_mt))
+        rows.append([travel_time(f) for f in
+                     np.concatenate((fields, np.minimum(fields, cap)))])
+    t0, tb, ts, t0c, tbc, tsc = np.array(rows, dtype=float).T
+    boots = _noise_comparison_loop(derive_seed(seed, Stream.GENERIC,
+                                               10**6 + 2), 1000, t0, ts, tb)
+    return (t0, tb, ts), boots, (np.cov(t0c, tbc)[0, 1],
+                                 np.cov(t0c, tsc)[0, 1])
+
+
+@pytest.mark.parametrize("budget", [1, 500, lattice._SITE_BUDGET])
+def test_noise_comparison_matches_per_replica_loop(budget):
+    for p, n, t, seed in ((0.5, 12, 0.2, 71), (0.3, 5, 0.5, 72),
+                          (0.5, 9, 0.0, 73)):
+        (t0, tb, ts), boots, covs = _noise_comparison_per_replica(
+            p, n, t, 45, seed)
+        with mock.patch.object(lattice, "_SITE_BUDGET", budget):
+            rep = noise_comparison(p, n, t, replicas=45, seed=seed)
+        assert rep.corr_bit == pearson_estimate(t0, tb)
+        assert rep.corr_site == pearson_estimate(t0, ts)
+        lo, hi = np.percentile(boots, [2.5, 97.5])
+        assert rep.corr_diff == estimators.EstimateWithCI(
+            rep.corr_site.estimate - rep.corr_bit.estimate,
+            float(boots.std(ddof=1)), float(lo), float(hi), 45)
+        assert (rep.cov_capped_bit, rep.cov_capped_site) == covs
+
+
+@pytest.mark.parametrize("budget", [1, 300, lattice._SITE_BUDGET])
+@pytest.mark.parametrize("n", [2, 14])
+def test_geodesic_maps_match_per_replica_loops(budget, n):
+    # at n = 2, 8 of the 40 geodesic sets reach a margin of exactly 0, so
+    # width 0 tells <= from <
+    replicas, seed, widths = 40, 79, (0, 1, 3, 9)
+    masks = [geodesic_report(weights(WeightConfig(
+        0.5, derive_seed(seed, Stream.REPLICA, r), Rect((0, 0), (n, n)))))
+        .member_mask for r in range(replicas)]
+    i, j = np.indices((n + 1, n + 1))
+    margin = np.abs(j - i) - np.minimum(i + j, 2 * n - i - j) ** 0.75
+    inside = [sum(not (mask & (margin > w)).any() for mask in masks)
+              for w in widths]
+    with mock.patch.object(lattice, "_SITE_BUDGET", budget):
+        hm = geodesic_heatmap(0.5, n, replicas, seed)
+        env = envelope_frequencies(0.5, n, widths, replicas, seed)
+    assert np.array_equal(hm.counts, np.sum(masks, axis=0))
+    assert env == [(w, fraction_estimate(k, replicas))
+                   for w, k in zip(widths, inside)]
+
+
+def test_replica_loops_are_budget_invariant():
+    def results():
+        return (corr_decay(0.5, 9, (0.0, 0.5, 0.25), NoiseKind.SITE, 30, 83),
+                corr_decay(0.3, 6, (1.0, 0.5), NoiseKind.BIT, 30, 84),
+                variance_scaling(0.5, (3, 7, 12), 9, 85, n_boot=50),
+                transversal_exponent(0.5, (4, 8, 13), 9, 86, n_boot=50))
+
+    def key(res):
+        # dataclass equality would compare the samples arrays elementwise
+        return repr(res)
+
+    want = [key(r) for r in results()]
+    for budget in (1, 40, 200):
+        with mock.patch.object(lattice, "_SITE_BUDGET", budget):
+            assert [key(r) for r in results()] == want
 
 
 # -------------------------------------------------------------- random walks

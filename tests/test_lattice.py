@@ -7,6 +7,8 @@ one member at a time, so they share no code path with the fused,
 prefix-hashed scan.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,9 @@ from hypothesis import strategies as st
 from lppnoise import lattice
 from lppnoise.lattice import (CoupledFields, NoiseKind, Rect,
                               RngIntegrityError, WeightConfig, coupled_cap,
-                              coupled_fields, noisy_stack, scan_cap,
-                              site_bits, weights)
+                              coupled_fields, coupled_group, noisy_group,
+                              noisy_stack, replica_groups, scan_cap,
+                              site_bits, weight_group, weights)
 from lppnoise.rng import Stream, exponential_array, uniform_array
 
 
@@ -320,6 +323,68 @@ def test_sub_rectangle_field_is_a_slice(region, p, seed, t, corner):
     small = coupled_fields(sub, t / 4, 7)
     for name in ("base", "bit_t", "site_mt"):
         assert np.array_equal(getattr(small, name), getattr(big, name)[cut])
+
+
+@settings(max_examples=40, deadline=None)
+@given(region=_regions, p=_ps,
+       seeds=st.lists(st.integers(-2 ** 63, 2 ** 64 - 1), min_size=1,
+                      max_size=6),
+       times=_times, t=st.floats(0.0, 1.0), cap=st.integers(1, 12),
+       budget=st.one_of(st.sampled_from(["site", "replica", "default",
+                                         "batch"]),
+                        st.integers(1, 400)))
+def test_fields_are_identical_for_any_site_budget(region, p, seeds, times, t,
+                                                  cap, budget):
+    """Grouped decodes (packed replicas, row strips) equal one decode of
+    each replica on its own, whatever the site budget."""
+    cfg = _cfg_of(region, p, 0)
+    sites = cfg.region.shape[0] * cfg.region.shape[1]
+    budget = {"site": 1, "replica": sites, "default": lattice._SITE_BUDGET,
+              "batch": sites * len(seeds)}.get(budget, budget)
+    cfgs = [WeightConfig(p, seed, cfg.region) for seed in seeds]
+    with mock.patch.object(lattice, "_SITE_BUDGET", 2 ** 40):
+        base = np.stack([weights(c) for c in cfgs])
+        bit = np.stack([noisy_stack(c, times, NoiseKind.BIT) for c in cfgs], 1)
+        site = np.stack([noisy_stack(c, times, NoiseKind.SITE)
+                         for c in cfgs], 1)
+        coupled = [coupled_fields(c, t, cap) for c in cfgs]
+    coupled = np.stack([np.stack((c.base, c.bit_t, c.site_mt))
+                        for c in coupled], 1)
+    with mock.patch.object(lattice, "_SITE_BUDGET", budget):
+        groups = replica_groups(seeds, cfg.region)
+        assert all(len(g) == 1 or len(g) * sites <= budget for g in groups)
+        assert sum(groups, []) == seeds
+
+        def joined(decode, axis):
+            # through the groups, and the whole batch as one group
+            parts = [decode(g) for g in groups]
+            return np.concatenate(parts, axis), decode(seeds)
+
+        for got in joined(lambda g: weight_group(p, g, cfg.region), 0):
+            assert np.array_equal(got, base)
+        for kind, want in ((NoiseKind.BIT, bit), (NoiseKind.SITE, site)):
+            for got in joined(lambda g: noisy_group(p, g, cfg.region, times,
+                                                    kind), 1):
+                assert np.array_equal(got, want)
+        for got in joined(lambda g: coupled_group(p, g, cfg.region, t, cap),
+                          1):
+            assert np.array_equal(got, coupled)
+        # the one-seed functions under the patched budget (row strips)
+        assert np.array_equal(weights(cfgs[0]), base[0])
+        assert np.array_equal(noisy_stack(cfgs[0], times, NoiseKind.SITE),
+                              site[:, 0])
+        cf = coupled_fields(cfgs[0], t, cap)
+        assert np.array_equal(np.stack((cf.base, cf.bit_t, cf.site_mt)),
+                              coupled[:, 0])
+
+
+def test_replica_groups_pack_small_fields_and_keep_large_ones_whole():
+    seeds = list(range(10))
+    small, large = Rect((0, 0), (99, 99)), Rect((0, 0), (199, 199))
+    assert replica_groups(seeds, small) == [[0, 1, 2], [3, 4, 5], [6, 7, 8],
+                                            [9]]
+    assert replica_groups(seeds, large) == [[s] for s in seeds]
+    assert replica_groups([], small) == []
 
 
 def test_scan_draws_each_bit_once_and_stops_at_the_first_one(monkeypatch):

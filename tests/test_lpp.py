@@ -15,8 +15,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import brute_geodesics, brute_travel
 from lppnoise import lpp
 from lppnoise.lpp import (backward_table, extreme_path, forward_table,
-                          geodesic_report, increment_profile, path_above,
-                          travel_time)
+                          geodesic_mask, geodesic_report, increment_profile,
+                          path_above, travel_time)
 
 
 def _python_forward(w):
@@ -92,6 +92,7 @@ def test_member_mask_matches_enumeration(small_fields):
         rep = geodesic_report(w)
         assert rep.value == value
         assert np.array_equal(rep.member_mask, mask)
+        assert np.array_equal(geodesic_mask(w), mask)
 
 
 def test_extreme_geodesics_are_extreme(small_fields):

@@ -148,6 +148,26 @@ def test_prefix_then_index_equals_full_key(seed, tag, x, y, index):
         exponential_array(seed, tag, x, y, index)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=5),
+       tag=st.sampled_from(list(Stream)), x0=st.integers(-2 ** 40, 2 ** 40),
+       y0=st.integers(-2 ** 40, 2 ** 40))
+def test_seed_array_prefix_equals_per_seed_calls(seeds, tag, x0, y0):
+    xs, ys = x0 + np.arange(3)[:, None], y0 + np.arange(4)[None, :]
+    col = np.array(seeds, dtype=np.uint64)[:, None, None]
+    prefix = key_prefix(col, tag, xs, ys)
+    assert prefix.shape == (len(seeds), 3, 4)
+    for r, seed in enumerate(seeds):
+        assert np.array_equal(prefix[r], key_prefix(seed, tag, xs, ys))
+    # a seed array also pairs with per-site coordinates
+    flat = key_prefix(col.ravel(), tag, x0 + np.arange(len(seeds)), y0)
+    for r, seed in enumerate(seeds):
+        assert flat[r] == key_prefix(seed, tag, x0 + r, y0)
+    # an int seed is taken mod 2**64, like the array's uint64 values
+    assert key_prefix(seeds[0] - 2 ** 64, tag, x0, y0) == \
+        key_prefix(col.ravel()[:1], tag, x0, y0)[0]
+
+
 def test_open_grid_prefix_matches_pointwise_keys():
     xs, ys = np.arange(-3, 4)[:, None], np.arange(5, 9)[None, :]
     prefix = key_prefix(11, Stream.BIT_X, xs, ys)
