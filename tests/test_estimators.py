@@ -23,7 +23,7 @@ from lppnoise.estimators import (bit_influence_on_Tn, corr_decay,
                                  variance_scaling, visit_vs_influence,
                                  walk_spec)
 from lppnoise.lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
-                              coupled_cap, coupled_fields, site_bits, weights)
+                              coupled_cap, coupled_group, site_bits, weights)
 from lppnoise.lpp import geodesic_report, travel_time
 from lppnoise.rng import Stream, derive_seed, uniform_array
 from lppnoise.stationary import lambda_params
@@ -242,8 +242,7 @@ def _noise_comparison_per_replica(p, n, t, replicas, seed):
     for r in range(replicas):
         cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r),
                            Rect((0, 0), (n, n)))
-        cf = coupled_fields(cfg, t, cap)
-        fields = np.stack((cf.base, cf.bit_t, cf.site_mt))
+        fields = coupled_group(p, (cfg.seed,), cfg.region, t, cap)[:, 0]
         rows.append([travel_time(f) for f in
                      np.concatenate((fields, np.minimum(fields, cap)))])
     t0, tb, ts, t0c, tbc, tsc = np.array(rows, dtype=float).T

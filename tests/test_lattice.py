@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppnoise import lattice
-from lppnoise.lattice import (CoupledFields, NoiseKind, Rect,
-                              RngIntegrityError, WeightConfig, coupled_cap,
-                              coupled_fields, coupled_group, noisy_group,
-                              noisy_stack, replica_groups, scan_cap,
-                              site_bits, weight_group, weights)
+from lppnoise.lattice import (NoiseKind, Rect, RngIntegrityError,
+                              WeightConfig, coupled_cap, coupled_group,
+                              noisy_group, noisy_stack, replica_groups,
+                              scan_cap, site_bits, weight_group, weights)
 from lppnoise.rng import Stream, exponential_array, uniform_array
 
 
@@ -45,6 +44,11 @@ def _oracle_weight(cfg, x, y, t=0.0, kind=None):
 
 def _cfg(lo, hi, p=0.5, seed=101):
     return WeightConfig(p, seed, Rect(lo, hi))
+
+
+def _coupled(cfg, t, cap):
+    """The base, BIT and site members of one field's coupled triple."""
+    return coupled_group(cfg.p, (cfg.seed,), cfg.region, t, cap)[:, 0]
 
 
 @pytest.mark.parametrize("p,seed", [(0.3, 11), (0.5, 12), (0.8, 13)])
@@ -152,13 +156,11 @@ def test_coupled_fields_structure_and_cap():
     n, p, t = 20, 0.5, 0.05
     m = coupled_cap(n, p)
     cfg = _cfg((0, 0), (n, n), p=p, seed=121)
-    cf = coupled_fields(cfg, t, m)
-    assert cf.cap == m
-    assert np.array_equal(cf.base, weights(cfg))
-    assert np.array_equal(cf.bit_t,
-                          noisy_stack(cfg, (t,), NoiseKind.BIT)[0])
-    assert np.minimum(cf.base, m).max() <= m
-    assert np.minimum(cf.site_mt, m).max() <= m
+    base, bit_t, site_mt = _coupled(cfg, t, m)
+    assert np.array_equal(base, weights(cfg))
+    assert np.array_equal(bit_t, noisy_stack(cfg, (t,), NoiseKind.BIT)[0])
+    assert np.minimum(base, m).max() <= m
+    assert np.minimum(site_mt, m).max() <= m
 
 
 def test_coupling_implication_is_exact():
@@ -168,7 +170,7 @@ def test_coupling_implication_is_exact():
     n, p, t = 15, 0.4, 0.08
     m = coupled_cap(n, p)
     cfg = _cfg((0, 0), (n, n), p=p, seed=131)
-    cf = coupled_fields(cfg, t, m)
+    base, bit_t, site_mt = _coupled(cfg, t, m)
     gx, gy = cfg.region.coord_grids()
     umin = exponential_array(cfg.seed, Stream.CLOCK_U, gx, gy, 0)
     for i in range(1, m):
@@ -176,12 +178,12 @@ def test_coupling_implication_is_exact():
                           exponential_array(cfg.seed, Stream.CLOCK_U, gx, gy, i))
     quiet = umin > t
     assert quiet.any() and (~quiet).any()
-    assert np.array_equal(np.minimum(cf.bit_t, m)[quiet],
-                          np.minimum(cf.base, m)[quiet])
-    assert np.array_equal(cf.site_mt[quiet], cf.base[quiet])
+    assert np.array_equal(np.minimum(bit_t, m)[quiet],
+                          np.minimum(base, m)[quiet])
+    assert np.array_equal(site_mt[quiet], base[quiet])
     # where the site clock rang, the site member is the replacement field,
     # which is independent of the base: check it is not simply the base
-    assert not np.array_equal(cf.site_mt[~quiet], cf.base[~quiet])
+    assert not np.array_equal(site_mt[~quiet], base[~quiet])
 
 
 def test_coupled_cap_formula_and_bound():
@@ -200,9 +202,9 @@ def test_validation_errors():
         WeightConfig(1.0, 1, Rect((0, 0), (1, 1)))
     cfg = _cfg((0, 0), (3, 3))
     with pytest.raises(ValueError):
-        coupled_fields(cfg, -0.1, 3)
+        _coupled(cfg, -0.1, 3)
     with pytest.raises(ValueError):
-        coupled_fields(cfg, 1.0, 0)  # no cap M >= 1
+        _coupled(cfg, 1.0, 0)  # no cap M >= 1
     with pytest.raises(ValueError):
         coupled_cap(1, 0.5)
 
@@ -295,11 +297,10 @@ def test_fused_stack_matches_one_member_at_a_time(region, p, seed, times,
        t=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
 def test_coupled_fields_match_one_member_at_a_time(region, p, seed, cap, t):
     cfg = _cfg_of(region, p, seed)
-    cf = coupled_fields(cfg, t, cap)
-    assert np.array_equal(cf.base, _member_reference(cfg, 0.0, NoiseKind.BIT))
-    assert np.array_equal(cf.bit_t, _member_reference(cfg, t, NoiseKind.BIT))
-    assert np.array_equal(cf.site_mt,
-                          _member_reference(cfg, t, cap=cap))
+    base, bit_t, site_mt = _coupled(cfg, t, cap)
+    assert np.array_equal(base, _member_reference(cfg, 0.0, NoiseKind.BIT))
+    assert np.array_equal(bit_t, _member_reference(cfg, t, NoiseKind.BIT))
+    assert np.array_equal(site_mt, _member_reference(cfg, t, cap=cap))
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,10 +320,8 @@ def test_sub_rectangle_field_is_a_slice(region, p, seed, t, corner):
     for kind in (NoiseKind.BIT, NoiseKind.SITE):
         assert np.array_equal(noisy_stack(sub, (t,), kind)[0],
                               noisy_stack(cfg, (t,), kind)[0][cut])
-    big = coupled_fields(cfg, t / 4, 7)
-    small = coupled_fields(sub, t / 4, 7)
-    for name in ("base", "bit_t", "site_mt"):
-        assert np.array_equal(getattr(small, name), getattr(big, name)[cut])
+    assert np.array_equal(_coupled(sub, t / 4, 7),
+                          _coupled(cfg, t / 4, 7)[(slice(None),) + cut])
 
 
 @settings(max_examples=40, deadline=None)
@@ -347,9 +346,7 @@ def test_fields_are_identical_for_any_site_budget(region, p, seeds, times, t,
         bit = np.stack([noisy_stack(c, times, NoiseKind.BIT) for c in cfgs], 1)
         site = np.stack([noisy_stack(c, times, NoiseKind.SITE)
                          for c in cfgs], 1)
-        coupled = [coupled_fields(c, t, cap) for c in cfgs]
-    coupled = np.stack([np.stack((c.base, c.bit_t, c.site_mt))
-                        for c in coupled], 1)
+        coupled = np.stack([_coupled(c, t, cap) for c in cfgs], 1)
     with mock.patch.object(lattice, "_SITE_BUDGET", budget):
         groups = replica_groups(seeds, cfg.region)
         assert all(len(g) == 1 or len(g) * sites <= budget for g in groups)
@@ -373,9 +370,7 @@ def test_fields_are_identical_for_any_site_budget(region, p, seeds, times, t,
         assert np.array_equal(weights(cfgs[0]), base[0])
         assert np.array_equal(noisy_stack(cfgs[0], times, NoiseKind.SITE),
                               site[:, 0])
-        cf = coupled_fields(cfgs[0], t, cap)
-        assert np.array_equal(np.stack((cf.base, cf.bit_t, cf.site_mt)),
-                              coupled[:, 0])
+        assert np.array_equal(_coupled(cfgs[0], t, cap), coupled[:, 0])
 
 
 def test_replica_groups_pack_small_fields_and_keep_large_ones_whole():
