@@ -21,20 +21,24 @@ Three dynamics produce a time-t partner of a field:
   at time t in the BIT dynamics is also resampled at time ``M*t`` in the
   site dynamics.
 
-Every field is decoded by one alive-set scan (``_first_hits``): round i
-draws bit i only for the sites that still have an unresolved member, and
-a site leaves the scan once each of its members has met its first one.
-A base field and all its noisy partners are members of one scan, so the
+Every field is decoded by one scan (``_scan``) that carries only the
+unresolved sites, compressed: their flat indices, their per-site key
+prefixes (``rng.key_prefix``, so a round absorbs only the bit index) and
+the mask of their pending members.  Round i draws bit i of each carried
+site; a member's weight is written in the round of its first one, and a
+site leaves the carried arrays once all its members have met theirs.  A
+base field and all its noisy partners are members of one scan, so the
 bits and clocks they share are hashed once per site and round (common
-random numbers).  SITE partners decode the replacement field only on the
-sites whose clock rang by the largest t, and the coupled site clock stops
-at a site's first per-bit clock <= t.  Each stream is hashed from a
-per-site key prefix (``rng.key_prefix``), so a round absorbs only the bit
-index.  This is exact because every draw is a pure function of its key:
-the keyed hash is a chain of splitmix64 finalizers (Steele, Lea & Flood,
-OOPSLA 2014) used as a counter-based generator (Salmon et al., SC'11), so
-a skipped draw is one whose value cannot matter and the fields equal a
-decode of each member on its own, bit for bit.
+random numbers); a BIT round draws the base and the replacement bit of
+every carried site, which costs less than selecting the sites that need
+each.  SITE partners decode the replacement field only on the sites
+whose clock rang by the largest t, and the coupled site clock stops at a
+site's first per-bit clock <= t.  This is exact because every draw is a
+pure function of its key: the keyed hash is a chain of splitmix64
+finalizers (Steele, Lea & Flood, OOPSLA 2014) used as a counter-based
+generator (Salmon et al., SC'11), so a skipped draw is one whose value
+cannot matter and the fields equal a decode of each member on its own,
+bit for bit.
 
 For the same reason any grouping of sites gives the same values, and
 the replica loops decode in groups under one site budget,
@@ -145,40 +149,39 @@ def scan_cap(p: float) -> int:
     return math.ceil(_SCAN_TAIL / -math.log1p(-p))
 
 
-def _first_hits(n_sites: int, n_members: int, cap: int, hits) -> np.ndarray:
-    """First round i < cap at which each member hits, per site; -1 if none.
+def _scan(n_members: int, n_sites: int, cap: int, prefixes,
+          hits) -> np.ndarray:
+    """First round i < cap in which each member hits, per site: shape
+    ``(n_members, n_sites)``, -1 where a member has not hit.
 
-    ``hits(alive, pending, i)`` gets the flat indices of the sites with a
-    member still unresolved, the (members, sites) mask of those members
-    and the round number, and returns a boolean array broadcastable to
-    the mask.  A site leaves the scan once all its members have hit, so
-    no draw is made for a site whose result is settled.
+    ``hits(prefixes, i)`` gets the key prefixes of the carried sites (one
+    flat array per stream, in the order of ``prefixes``) and returns a
+    boolean array broadcastable to ``(n_members, carried)``: which members
+    hit in round i.  The scan carries only the unresolved sites,
+    compressed: their flat indices, their prefixes and the mask of their
+    pending members.  A site leaves once all its members have hit, so no
+    draw is made for a settled site.  A hit is written in its round;
+    round 0 needs no write, as the weights start at 0.
     """
-    out = np.full((n_members, n_sites), -1, dtype=np.int64)
-    alive = np.arange(n_sites)
+    out = np.zeros((n_members, n_sites), dtype=np.int64)
+    idx = np.arange(n_sites)
     pending = np.ones((n_members, n_sites), dtype=bool)
-    # index arrays (flatnonzero, take), not boolean masks: numpy's masked
+    # index arrays (nonzero, take), not boolean masks: numpy's masked
     # copies branch per element and cost several times more
     for i in range(cap):
-        if not alive.size:
+        if not idx.size:
             break
-        hit = hits(alive, pending, i) & pending
-        for k in range(n_members):
-            out[k, alive[np.flatnonzero(hit[k])]] = i
+        hit = hits(prefixes, i) & pending
+        if i:
+            for row, h in zip(out, hit):
+                row[idx.take(h.nonzero()[0])] = i
         pending ^= hit
-        keep = np.flatnonzero(pending.any(axis=0))
-        if keep.size < alive.size:
-            alive, pending = alive[keep], pending.take(keep, axis=1)
-    return out
-
-
-def _bits(prefix, alive, need, i, p) -> np.ndarray:
-    """Bit i of the alive sites, drawn only where ``need`` is set."""
-    if need.all():
-        return bernoulli_at(prefix[alive], i, p)
-    out = np.zeros(alive.size, dtype=bool)
-    at = np.flatnonzero(need)
-    out[at] = bernoulli_at(prefix[alive[at]], i, p)
+        keep = (pending.any(axis=0) if n_members > 1
+                else pending[0]).nonzero()[0]
+        idx, pending = idx.take(keep), pending.take(keep, axis=1)
+        prefixes = [a.take(keep) for a in prefixes]
+    for row, left in zip(out, pending):
+        row[idx[left]] = -1
     return out
 
 
@@ -202,25 +205,27 @@ def _decode(seed, p: float, sx, sy, times=(0.0,),
     Returns shape ``(len(times),) + broadcast(seed, sx, sy)``.
     """
     t = np.asarray(times, dtype=np.float64)
-    ring_by = _ring_by(t)[:, None]
     px = key_prefix(seed, tag, sx, sy)
     shape = np.shape(px)
-    px = px.ravel()
+    prefixes = [px.ravel()]
     if (t > 0.0).any():
-        pu = key_prefix(seed, Stream.CLOCK_U, sx, sy).ravel()
-        pr = key_prefix(seed, Stream.BIT_XPRIME, sx, sy).ravel()
+        ring_by = _ring_by(t)[:, None]
+        prefixes += [key_prefix(seed, s, sx, sy).ravel()
+                     for s in (Stream.CLOCK_U, Stream.BIT_XPRIME)]
 
-        def hits(alive, pending, i):
-            rung = exponential_at(pu[alive], i) <= ring_by
-            x = _bits(px, alive, (pending & ~rung).any(axis=0), i, p)
-            xr = _bits(pr, alive, (pending & rung).any(axis=0), i, p)
-            return (rung & xr) | (~rung & x)
+        def hits(pre, i):
+            # a member reads xr where its clock rang, else x; every
+            # carried site draws both, which costs less than gathering
+            # the sites that need each
+            x, xr = bernoulli_at(pre[0], i, p), bernoulli_at(pre[2], i, p)
+            rung = exponential_at(pre[1], i) <= ring_by
+            return x ^ (rung & (x ^ xr))
     else:
-        def hits(alive, pending, i):
-            return bernoulli_at(px[alive], i, p)
+        def hits(pre, i):
+            return bernoulli_at(pre[0], i, p)
 
     cap = scan_cap(p)
-    w = _first_hits(px.size, t.size, cap, hits)
+    w = _scan(t.size, px.size, cap, prefixes, hits)
     if (w < 0).any():
         raise RngIntegrityError(
             f"bit scan at p={p} exceeded {cap} rounds; keyed stream damaged")
@@ -344,9 +349,8 @@ def coupled_group(p: float, seeds, region: Rect, t: float,
             # U~ <= M*t iff one of the first M per-bit clocks is <= t; a
             # site's clocks are read only up to the first such one
             pu = key_prefix(col, Stream.CLOCK_U, xs, ys).ravel()
-            first = _first_hits(pu.size, 1, m,
-                                lambda alive, pending, i:
-                                exponential_at(pu[alive], i) <= t)
+            first = _scan(1, pu.size, m, [pu], lambda pre, i:
+                          exponential_at(pre[0], i) <= t)
             rung = (first[0] >= 0).reshape(out.shape[1:])
             out[2][rung] = _replacement(p, col, xs, ys, rung)
         return out

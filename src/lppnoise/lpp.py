@@ -32,7 +32,6 @@ __all__ = [
     "geodesic_mask",
     "GeodesicReport",
     "geodesic_report",
-    "path_above",
     "IncrementProfile",
     "increment_profile",
 ]
@@ -160,26 +159,6 @@ def geodesic_report(w: np.ndarray) -> GeodesicReport:
     return GeodesicReport(int(f[-1, -1]), mask,
                           extreme_path(f, w, upmost=True),
                           extreme_path(f, w, upmost=False))
-
-
-def _col_minima(path: np.ndarray) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for i, j in path:
-        if i not in out or j < out[i]:
-            out[i] = j
-    return out
-
-
-def path_above(a: np.ndarray, b: np.ndarray) -> bool:
-    """Path order: on every shared vertical line, a's lowest point is
-    at least b's lowest point."""
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("paths must be nonempty")
-    ma, mb = _col_minima(np.asarray(a)), _col_minima(np.asarray(b))
-    shared = set(ma) & set(mb)
-    if not shared:
-        raise ValueError("paths share no vertical line")
-    return all(ma[c] >= mb[c] for c in shared)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "Stream",
     "uniform_array",
-    "exponential_array",
     "geometric_array",
     "derive_seed",
     "key_prefix",
@@ -45,6 +44,11 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MUL_A = 0xD6E8FEB86659FD93
 _MUL_B = 0xA3AAC6CB67C5E0ED
+# uint64 scalars of the hot path, built once: building them per call costs
+# more than the arithmetic on the few sites a late scan round carries
+_GOLDEN_U64 = _U64(_GOLDEN)
+_S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
+_FIN_1, _FIN_2 = _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
 
 
 class Stream(IntEnum):
@@ -73,11 +77,11 @@ class Stream(IntEnum):
 def _mix(z):
     # splitmix64 finalizer; uint64 arithmetic wraps mod 2**64.  Mixes an
     # array argument in place, so callers pass a fresh array.
-    z ^= z >> _U64(30)
-    z *= _U64(0xBF58476D1CE4E5B9)
-    z ^= z >> _U64(27)
-    z *= _U64(0x94D049BB133111EB)
-    z ^= z >> _U64(31)
+    z ^= z >> _S30
+    z *= _FIN_1
+    z ^= z >> _S27
+    z *= _FIN_2
+    z ^= z >> _S31
     return z
 
 
@@ -106,7 +110,7 @@ def key_prefix(seed, tag: Stream, sx, sy) -> np.ndarray:
 def _absorb(prefix, index) -> np.ndarray:
     """The full keyed hash: absorb ``index`` into a key prefix."""
     with np.errstate(over="ignore"):
-        return _mix(prefix ^ (_as_u64(index) * _U64(_GOLDEN)))
+        return _mix(prefix ^ (_as_u64(index) * _GOLDEN_U64))
 
 
 def _hash_key(seed: int, tag: int, sx, sy, index) -> np.ndarray:
@@ -116,7 +120,7 @@ def _hash_key(seed: int, tag: int, sx, sy, index) -> np.ndarray:
 
 def _unit(h) -> np.ndarray:
     # top 53 bits as a double in [0, 1); shifts a fresh array in place
-    h >>= _U64(11)
+    h >>= _S11
     return h * (2.0 ** -53)
 
 
@@ -147,11 +151,6 @@ def bernoulli_at(prefix, index, p: float) -> np.ndarray:
 def uniform_array(seed: int, tag: Stream, sx, sy, index) -> np.ndarray:
     """Uniform[0, 1) variates for the broadcast key arrays."""
     return _unit(_hash_key(seed, tag, sx, sy, index))
-
-
-def exponential_array(seed: int, tag: Stream, sx, sy, index) -> np.ndarray:
-    """Exp(1) variates, ``-log(1 - U)``."""
-    return exponential_at(key_prefix(seed, tag, sx, sy), index)
 
 
 def geometric_array(seed: int, tag: Stream, sx, sy, index, p: float) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Weight fields and resampling dynamics against stream-level oracles.
 
 The oracles below regenerate every bit, clock and replacement bit
-directly from the full-key rng API (``uniform_array``,
-``exponential_array``) and decode weights with plain Python loops or
-one member at a time, so they share no code path with the fused,
-prefix-hashed scan.
+directly from the full-key rng API (``uniform_array``, and
+``exponential_array`` below on top of it) and decode weights with plain
+Python loops or one member at a time, so they share no code path with
+the fused, prefix-hashed scan.  The alive-set scan at the end, which
+the compressed scan replaced, is kept as a reference for whole fields.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,13 @@ from lppnoise.lattice import (NoiseKind, Rect, RngIntegrityError,
                               WeightConfig, coupled_cap, coupled_group,
                               noisy_group, noisy_stack, replica_groups,
                               scan_cap, site_bits, weight_group, weights)
-from lppnoise.rng import Stream, exponential_array, uniform_array
+from lppnoise.rng import (Stream, bernoulli_at, exponential_at, key_prefix,
+                          uniform_array)
+
+
+def exponential_array(seed, tag, sx, sy, index):
+    """Exp(1) variates ``-log(1 - U)`` read from the full keys."""
+    return -np.log1p(-uniform_array(seed, tag, sx, sy, index))
 
 
 def _oracle_weight(cfg, x, y, t=0.0, kind=None):
@@ -404,14 +412,125 @@ def test_scan_cap_depends_on_p_and_a_broken_stream_is_caught(monkeypatch):
     # a small p decodes (the old fixed cap only held for moderate p) ...
     w = weights(_cfg((0, 0), (3, 3), p=0.001, seed=3))
     assert w.min() >= 0 and w.mean() > 50
-    # ... and a stream with no ones hits the cap
+    # ... and a stream with no ones hits the cap, in one-member scans and
+    # in member scans with clocks
     monkeypatch.setattr(lattice, "bernoulli_at", lambda prefix, index, p:
                         np.zeros(np.shape(prefix), dtype=bool))
+    cfg = _cfg((0, 0), (2, 2), p=0.9)
     with pytest.raises(RngIntegrityError):
-        weights(_cfg((0, 0), (2, 2), p=0.9))
+        weights(cfg)
+    with pytest.raises(RngIntegrityError):
+        noisy_stack(cfg, (0.0, 0.5, 2.0), NoiseKind.BIT)
+    with pytest.raises(RngIntegrityError):
+        _coupled(cfg, 0.5, 3)
+
+
+def test_small_p_decode_memory_is_bounded():
+    # at p = 0.001 a site misses about 1,000 rounds; the scan's memory
+    # must not grow with them (it peaks near 0.13 MB here, where a scan
+    # that kept every round's list of missing sites peaked at 37 MB)
+    region = Rect((0, 0), (47, 47))
+    tracemalloc.start()
+    try:
+        w = weight_group(0.001, (7,), region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.mean() > 500
+    assert peak < 2 ** 20
 
 
 def test_noisy_stack_rejects_coupled_and_negative_times():
     cfg = _cfg((0, 0), (3, 3))
     with pytest.raises(ValueError):
         noisy_stack(cfg, (0.5, -0.1), NoiseKind.BIT)
+
+
+# ------------------------------------------ the scan vs the alive-set scan
+
+def _first_hits(n_sites, n_members, cap, hits):
+    """The alive-set scan the compressed scan replaced: each round gathers
+    the prefixes of the sites with a member still unresolved from the
+    full arrays, and ``hits(alive, pending, i)`` sees the full
+    (members, alive) pending mask."""
+    out = np.full((n_members, n_sites), -1, dtype=np.int64)
+    alive = np.arange(n_sites)
+    pending = np.ones((n_members, n_sites), dtype=bool)
+    for i in range(cap):
+        if not alive.size:
+            break
+        hit = hits(alive, pending, i) & pending
+        for k in range(n_members):
+            out[k, alive[np.flatnonzero(hit[k])]] = i
+        pending ^= hit
+        keep = np.flatnonzero(pending.any(axis=0))
+        if keep.size < alive.size:
+            alive, pending = alive[keep], pending.take(keep, axis=1)
+    return out
+
+
+def _bits(prefix, alive, need, i, p):
+    """Bit i of the alive sites, drawn only where ``need`` is set."""
+    if need.all():
+        return bernoulli_at(prefix[alive], i, p)
+    out = np.zeros(alive.size, dtype=bool)
+    at = np.flatnonzero(need)
+    out[at] = bernoulli_at(prefix[alive[at]], i, p)
+    return out
+
+
+def _alive_set_decode(seed, p, sx, sy, times=(0.0,), tag=Stream.BIT_X):
+    """``lattice._decode`` on the alive-set scan, drawing a stream's bit
+    only for the sites where a pending member reads it."""
+    t = np.asarray(times, dtype=np.float64)
+    ring_by = np.where(t > 0.0, t, -np.inf)[:, None]
+    px = key_prefix(seed, tag, sx, sy)
+    shape = np.shape(px)
+    px = px.ravel()
+    if (t > 0.0).any():
+        pu = key_prefix(seed, Stream.CLOCK_U, sx, sy).ravel()
+        pr = key_prefix(seed, Stream.BIT_XPRIME, sx, sy).ravel()
+
+        def hits(alive, pending, i):
+            rung = exponential_at(pu[alive], i) <= ring_by
+            x = _bits(px, alive, (pending & ~rung).any(axis=0), i, p)
+            xr = _bits(pr, alive, (pending & rung).any(axis=0), i, p)
+            return (rung & xr) | (~rung & x)
+    else:
+        def hits(alive, pending, i):
+            return bernoulli_at(px[alive], i, p)
+
+    cap = scan_cap(p)
+    w = _first_hits(px.size, t.size, cap, hits)
+    if (w < 0).any():
+        raise RngIntegrityError(f"bit scan at p={p} exceeded {cap} rounds")
+    return w.reshape((t.size,) + shape)
+
+
+def _alive_set_scan(n_members, n_sites, cap, prefixes, hits):
+    """``lattice._scan`` (the coupled site clock) on the alive-set scan."""
+    return _first_hits(n_sites, n_members, cap, lambda alive, pending, i:
+                       hits([a[alive] for a in prefixes], i))
+
+
+@settings(max_examples=30, deadline=None)
+@given(region=st.tuples(st.integers(-40, 40), st.integers(-40, 40),
+                        st.integers(1, 6), st.integers(1, 6)),
+       p=st.one_of(st.sampled_from([0.001, 0.5, 0.99]),
+                   st.floats(0.001, 0.99)),
+       seeds=st.lists(_seeds, min_size=1, max_size=3), times=_times,
+       t=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), cap=st.integers(1, 40))
+def test_fields_equal_the_alive_set_scan(region, p, seeds, times, t, cap):
+    r = _cfg_of(region, p, 0).region
+
+    def fields():
+        return ([weight_group(p, seeds, r)]
+                + [noisy_group(p, seeds, r, times, kind) for kind in NoiseKind]
+                + [coupled_group(p, seeds, r, t, cap)])
+
+    new = fields()
+    with mock.patch.multiple(lattice, _decode=_alive_set_decode,
+                             _scan=_alive_set_scan):
+        old = fields()
+    for got, want in zip(new, old):
+        assert np.array_equal(got, want)

@@ -16,7 +16,27 @@ from conftest import brute_geodesics, brute_travel
 from lppnoise import lpp
 from lppnoise.lpp import (backward_table, extreme_path, forward_table,
                           geodesic_mask, geodesic_report, increment_profile,
-                          path_above, travel_time)
+                          travel_time)
+
+
+def _col_minima(path: np.ndarray) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for i, j in path:
+        if i not in out or j < out[i]:
+            out[i] = j
+    return out
+
+
+def path_above(a: np.ndarray, b: np.ndarray) -> bool:
+    """Path order: on every shared vertical line, a's lowest point is
+    at least b's lowest point."""
+    if len(a) == 0 or len(b) == 0:
+        raise ValueError("paths must be nonempty")
+    ma, mb = _col_minima(np.asarray(a)), _col_minima(np.asarray(b))
+    shared = set(ma) & set(mb)
+    if not shared:
+        raise ValueError("paths share no vertical line")
+    return all(ma[c] >= mb[c] for c in shared)
 
 
 def _python_forward(w):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppnoise import rng
-from lppnoise.rng import (Stream, bernoulli_at, derive_seed, exponential_array,
-                          exponential_at, geometric_array, key_prefix,
-                          uniform_array, uniform_at)
+from lppnoise.rng import (Stream, bernoulli_at, derive_seed, exponential_at,
+                          geometric_array, key_prefix, uniform_array,
+                          uniform_at)
 
 _M64 = (1 << 64) - 1
 
@@ -73,7 +73,7 @@ def test_broadcasting_matches_scalar_evaluation():
 def test_exponential_matches_inverse_transform():
     idx = np.arange(1000)
     u = uniform_array(11, Stream.CLOCK_U, idx, 0, 5)
-    e = exponential_array(11, Stream.CLOCK_U, idx, 0, 5)
+    e = exponential_at(key_prefix(11, Stream.CLOCK_U, idx, 0), 5)
     assert np.allclose(e, -np.log1p(-u), rtol=0, atol=0)
     assert (e >= 0).all()
 
@@ -145,7 +145,7 @@ def test_prefix_then_index_equals_full_key(seed, tag, x, y, index):
     u = uniform_at(prefix, index)
     assert u == (h >> 11) * 2.0 ** -53 == uniform_array(seed, tag, x, y, index)
     assert exponential_at(prefix, index) == \
-        exponential_array(seed, tag, x, y, index)
+        exponential_at(key_prefix(seed, tag, x, y), index)
 
 
 @settings(max_examples=60, deadline=None)
