@@ -5,8 +5,9 @@ so results are pure functions of ``(seed, parameters)``.  Paired
 designs (noise correlations across several times, coupled dynamics)
 reuse the same replica sub-seed so all coupling happens through the
 keyed randomness itself.  The lattice replica loops decode their fields
-in the groups of ``lattice.replica_groups`` and, where only travel times
-are needed, run the DP on each group's stack; grouping changes no value.
+in the groups of ``lattice.replica_groups`` and, where one number per
+field is needed (a travel time, the transversal span), run the DP on
+each group's stack; grouping changes no value.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from .lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
                       coupled_cap, coupled_group, noisy_group, replica_groups,
                       scan_cap, site_bits, weight_group, weights)
-from .lpp import (backward_table, extreme_path, forward_table, geodesic_mask,
-                  travel_time)
+from .lpp import (backward_table, forward_table, geodesic_mask, travel_time,
+                  upmost_span)
 from .rng import Stream, derive_seed, uniform_array
 from .stationary import build_stationary
 
@@ -176,16 +177,6 @@ def _replica_seeds(seed: int, first: int, count: int) -> list[int]:
             for r in range(first, first + count)]
 
 
-def _field_map(fn, p: float, seeds, region: Rect) -> list:
-    """``fn(w)`` for the weight field ``w`` of each replica seed, in order.
-    Fields are decoded in the groups of ``replica_groups``, and a group is
-    freed before the next one is decoded."""
-    def group_values(group) -> list:
-        return [fn(w) for w in weight_group(p, group, region)]
-    return [v for group in replica_groups(seeds, region)
-            for v in group_values(group)]
-
-
 # ---------------------------------------------------------------- noise decay
 
 @dataclass(frozen=True)
@@ -298,11 +289,34 @@ class ExponentFit:
     n_boot: int
 
 
-def _bootstrap_slope(log_n: np.ndarray, samples: list[np.ndarray], stat_fn,
-                     n_boot: int, seed: int) -> ExponentFit:
+def _scale_samples(p: float, n_list, replicas: int, seed: int, stack_stat):
+    """The scales as ints, and per scale ``stack_stat`` of each replica
+    field as float64; ``stack_stat`` maps a ``weight_group`` stack to one
+    value per field, and scale k takes replicas k * replicas onwards."""
+    n_list = [int(n) for n in n_list]
+    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list needs at least three strictly increasing "
+                         f"scales, got {list(n_list)}")
+    if replicas < 2:
+        raise ValueError(f"need >= 2 replicas, got {replicas}")
+    samples = []
+    for pos, n in enumerate(n_list):
+        region = _square(n)
+        seeds = _replica_seeds(seed, pos * replicas, replicas)
+        samples.append(np.concatenate([
+            stack_stat(weight_group(p, group, region))
+            for group in replica_groups(seeds, region)]).astype(np.float64))
+    return n_list, samples
+
+
+def _bootstrap_slope(p: float, n_list: list[int], samples: list[np.ndarray],
+                     stat_fn, n_boot: int, seed: int) -> ExponentFit:
     point = np.array([stat_fn(s) for s in samples])
-    if (point <= 0).any():
-        raise ValueError("statistic must be positive for a log-log fit")
+    for n, v in zip(n_list, point):
+        if v <= 0:
+            raise ValueError(f"statistic is {v:g} at n={n} (p={p}, replicas="
+                             f"{samples[0].size}); a log-log fit needs it > 0")
+    log_n = np.log(np.array(n_list, dtype=float))
     slope = float(np.polyfit(log_n, np.log(point), 1)[0])
 
     def refit(*idx):
@@ -314,8 +328,8 @@ def _bootstrap_slope(log_n: np.ndarray, samples: list[np.ndarray], stat_fn,
 
     boots = _bootstrap(seed, n_boot, [s.size for s in samples], refit)
     lo, hi = np.percentile(boots, [2.5, 97.5])
-    return ExponentFit(tuple(int(np.exp(v) + 0.5) for v in log_n),
-                       tuple(point), slope, float(lo), float(hi), n_boot)
+    return ExponentFit(tuple(n_list), tuple(point), slope, float(lo),
+                       float(hi), n_boot)
 
 
 @dataclass(frozen=True)
@@ -330,22 +344,9 @@ class VarianceScalingResult:
 def variance_scaling(p: float, n_list, replicas: int, seed: int,
                      n_boot: int = 1000) -> VarianceScalingResult:
     """Var(T_n) against n on a log-log scale (KPZ exponent 2/3)."""
-    n_list = [int(n) for n in n_list]
-    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list needs at least three strictly increasing "
-                         f"scales, got {list(n_list)}")
-    if replicas < 2:
-        raise ValueError(f"need >= 2 replicas, got {replicas}")
-    samples = []
-    for pos, n in enumerate(n_list):
-        region = _square(n)
-        seeds = _replica_seeds(seed, pos * replicas, replicas)
-        samples.append(np.concatenate([
-            travel_time(weight_group(p, group, region))
-            for group in replica_groups(seeds, region)]).astype(np.float64))
-    fit = _bootstrap_slope(np.log(np.array(n_list, dtype=float)), samples,
-                           lambda s: s.var(ddof=1), n_boot,
-                           derive_seed(seed, Stream.GENERIC, 10**6))
+    n_list, samples = _scale_samples(p, n_list, replicas, seed, travel_time)
+    fit = _bootstrap_slope(p, n_list, samples, lambda s: s.var(ddof=1),
+                           n_boot, derive_seed(seed, Stream.GENERIC, 10**6))
     means = tuple(float(s.mean() / n) for s, n in zip(samples, n_list))
     return VarianceScalingResult(p, fit, means, replicas, seed)
 
@@ -407,12 +408,12 @@ class TransversalResult:
     seed: int
 
 
-def _midline_deviation(w: np.ndarray) -> float:
-    """max |x2 - n/2| over the upmost geodesic's points on x1 = n/2."""
-    n = w.shape[0] - 1
-    path = extreme_path(forward_table(w), w, upmost=True)
-    mid = path[path[:, 0] == n // 2, 1]
-    return float(np.max(np.abs(mid - n / 2.0)))
+def _span_deviation(w: np.ndarray) -> np.ndarray:
+    """max |x2 - n/2| over the upmost geodesic's points on x1 = n/2, for
+    each field of a stack: the span's ends are the extreme points."""
+    n = w.shape[-2] - 1
+    a, b = upmost_span(w, n // 2)
+    return np.maximum(np.abs(a - n / 2.0), np.abs(b - n / 2.0))
 
 
 def transversal_exponent(p: float, n_list, replicas: int, seed: int,
@@ -422,18 +423,9 @@ def transversal_exponent(p: float, n_list, replicas: int, seed: int,
     The statistic at scale n is max |x2 - n/2| over the points of the
     upmost geodesic on the vertical line x1 = n/2.
     """
-    n_list = [int(n) for n in n_list]
-    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list needs at least three strictly increasing "
-                         f"scales, got {list(n_list)}")
-    samples = []
-    for pos, n in enumerate(n_list):
-        region = _square(n)
-        seeds = _replica_seeds(seed, pos * replicas, replicas)
-        samples.append(np.array(_field_map(_midline_deviation, p, seeds,
-                                           region)))
-    fit = _bootstrap_slope(np.log(np.array(n_list, dtype=float)), samples,
-                           lambda s: float(np.median(s)), n_boot,
+    n_list, samples = _scale_samples(p, n_list, replicas, seed,
+                                     _span_deviation)
+    fit = _bootstrap_slope(p, n_list, samples, np.median, n_boot,
                            derive_seed(seed, Stream.GENERIC, 10**6 + 1))
     return TransversalResult(p, fit, replicas, seed)
 
@@ -449,9 +441,11 @@ def envelope_frequencies(p: float, n: int, widths, replicas: int,
 
     # the widest margin on the geodesic set of each field; the mask holds
     # both corners, so it is never empty
-    tops = np.array(_field_map(lambda w: margin[geodesic_mask(w)].max(), p,
-                               _replica_seeds(seed, 0, replicas), _square(n)))
-    return [(w, fraction_estimate(int((tops <= w).sum()), replicas))
+    region, tops = _square(n), []
+    for group in replica_groups(_replica_seeds(seed, 0, replicas), region):
+        tops.extend(margin[geodesic_mask(w)].max()
+                    for w in weight_group(p, group, region))
+    return [(w, fraction_estimate(int(np.less_equal(tops, w).sum()), replicas))
             for w in widths]
 
 

@@ -12,10 +12,11 @@ so the quadratic table costs O(area) vector work in O(rows) ufunc calls
 instead of a Python-level double loop; ``travel_time`` runs it over a
 whole stack of fields at once.
 
-``geodesic_mask`` gives the exact geodesic set as a vertex mask, which
-needs the forward and backward tables; ``geodesic_report`` adds the
-upmost and downmost geodesics, which ``extreme_path`` backtracks
-greedily on the forward table alone.
+``geodesic_mask`` gives the exact geodesic set as a vertex mask from the
+forward and backward tables.  A path leaves row i once, through an edge
+(i, j) -> (i+1, j) scoring ``F[i, j] + B[i+1, j]``, whose maximum over j
+is T.  The upmost geodesic leaves each row at its last maximum and the
+downmost at its first (``geodesic_report``; ``upmost_span`` for one row).
 """
 
 from __future__ import annotations
@@ -28,15 +29,16 @@ __all__ = [
     "forward_table",
     "backward_table",
     "travel_time",
-    "extreme_path",
     "geodesic_mask",
     "GeodesicReport",
     "geodesic_report",
+    "upmost_span",
     "IncrementProfile",
     "increment_profile",
 ]
 
 _ROW_BLOCK = 64   # rows whose prefix sums _table_rows takes in one call
+_NO_PATH = -(2 ** 62)   # a score no path reaches
 
 
 def _check_weights(w: np.ndarray, stack: bool = False) -> np.ndarray:
@@ -115,28 +117,18 @@ class GeodesicReport:
     downmost: np.ndarray
 
 
-def extreme_path(f: np.ndarray, w: np.ndarray, upmost: bool) -> np.ndarray:
-    """Upmost (or downmost) geodesic, backtracked on the forward table alone.
+def _last_argmax(s: np.ndarray) -> np.ndarray:
+    return s.shape[-1] - 1 - np.argmax(s[..., ::-1], axis=-1)
 
-    From the top-right corner, the predecessor of a path vertex (i, j) is
-    a neighbour with ``F[pred] == F[i, j] - w[i, j]``.  Trying (i-1, j)
-    first keeps the path as high as it can go, which gives the upmost
-    geodesic; trying (i, j-1) first gives the downmost."""
-    i, j = f.shape[0] - 1, f.shape[1] - 1
-    path = [(i, j)]
-    while i or j:
-        need = f[i, j] - w[i, j]
-        if upmost:
-            if i and f[i - 1, j] == need:
-                i -= 1
-            else:
-                j -= 1
-        elif j and f[i, j - 1] == need:
-            j -= 1
-        else:
-            i -= 1
-        path.append((i, j))
-    return np.array(path[::-1], dtype=np.int64)
+
+def _path(exits: np.ndarray, n2: int) -> np.ndarray:
+    """Vertices of the up/right path leaving row i at column ``exits[i]``.
+    Vertex k has i + j = k, and its i counts the e1 steps before it: the
+    step out of row i follows vertex ``exits[i] + i``."""
+    rows = np.zeros(exits.size + n2, dtype=np.int64)
+    rows[exits + np.arange(1, exits.size + 1)] = 1
+    rows = rows.cumsum()
+    return np.stack((rows, np.arange(rows.size) - rows), axis=1)
 
 
 def _on_geodesic(f: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -154,11 +146,40 @@ def geodesic_mask(w: np.ndarray) -> np.ndarray:
 def geodesic_report(w: np.ndarray) -> GeodesicReport:
     """Geodesic set and extreme geodesics via forward/backward tables."""
     w = _check_weights(w)
-    f = forward_table(w)
-    mask = _on_geodesic(f, backward_table(w), w)
-    return GeodesicReport(int(f[-1, -1]), mask,
-                          extreme_path(f, w, upmost=True),
-                          extreme_path(f, w, upmost=False))
+    f, b = forward_table(w), backward_table(w)
+    s = f[:-1] + b[1:]                  # crossing scores of rows 0..n1-2
+    return GeodesicReport(int(f[-1, -1]), _on_geodesic(f, b, w),
+                          _path(_last_argmax(s), w.shape[1]),
+                          _path(np.argmax(s, axis=1), w.shape[1]))
+
+
+def _rows_to(w: np.ndarray, i: int):
+    """Forward rows i-1 and i of a field or stack; row -1 is virtual and
+    leads into the field at column 0 only."""
+    prev = np.full(w.shape[:-2] + w.shape[-1:], _NO_PATH)
+    prev[..., 0] = 0
+    for k, row in enumerate(_table_rows(w)):
+        if k == i:
+            return prev, row
+        if k == i - 1:
+            prev = row.copy()
+
+
+def upmost_span(w: np.ndarray, i: int):
+    """Columns ``(a, b)`` of the upmost geodesic on row ``i``: it enters
+    from row i-1 at ``a`` (0 on row 0) and leaves at ``b`` (n2-1 on the
+    last row).  Fills forward rows 0..i and backward rows n1-1..i only;
+    a ``(K, n1, n2)`` stack gives two int64 arrays of K columns."""
+    w = _check_weights(w, stack=True)
+    n1 = w.shape[-2]
+    if not 0 <= i < n1:
+        raise ValueError(f"row {i} is outside a field of {n1} rows")
+    f_prev, f_row = _rows_to(w, i)
+    # the reversed field's forward rows are backward rows, columns reversed
+    b_next, b_row = _rows_to(w[..., ::-1, ::-1], n1 - 1 - i)
+    a = _last_argmax(f_prev + b_row[..., ::-1])
+    b = _last_argmax(f_row + b_next[..., ::-1])
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -205,9 +226,8 @@ def increment_profile(w: np.ndarray, v: tuple[int, int]) -> IncrementProfile:
     f = forward_table(w)
     b = backward_table(w)
     i_lo, i_hi = -v2, n - v2
-    rows = np.arange(v2 + i_lo, v2 + i_hi + 1)       # = 0 .. n
-    through = f[v1, rows] + b[v1 + 1, rows]          # column 0 -> 1 crossing scores
-    d = (f[v1, v2] + b[v1 + 1, v2]) - through
+    through = f[v1] + b[v1 + 1]      # crossing scores of row v1, columns 0..n
+    d = through[v2] - through
     delta = np.diff(f[v1, :])
     delta_prime = -np.diff(b[v1 + 1, :])
     if (delta < 0).any() or (delta_prime < 0).any():
@@ -217,5 +237,5 @@ def increment_profile(w: np.ndarray, v: tuple[int, int]) -> IncrementProfile:
         v=(v1, v2), n=n, i_lo=i_lo, i_hi=i_hi,
         D=d, delta=delta, delta_prime=delta_prime,
         value=total,
-        through_origin_edge=bool(f[v1, v2] + b[v1 + 1, v2] == total),
+        through_origin_edge=bool(through[v2] == total),
     )

@@ -1,5 +1,6 @@
 """Command-line layer: validation, exit codes, files, reproducibility."""
 
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -110,6 +111,16 @@ def test_invalid_parameter_exits_one(tmp_path):
     assert "must be < 1.0, got 1.5" in res.output
 
 
+def test_degenerate_fit_names_the_scale(tmp_path):
+    # at p = 0.999 every weight is 0 with high probability, so Var(T_2) = 0
+    res = CliRunner().invoke(main, ["variance-scaling", "--p", "0.999",
+                                    "--n", "2", "--n", "3", "--n", "4",
+                                    "--replicas", "2", "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert ("invalid parameters for variance-scaling: statistic is 0 at "
+            "n=2 (p=0.999, replicas=2)") in res.output
+
+
 def test_dump_field_matches_library(tmp_path):
     res = _invoke(["dump-field", "--p", "0.5", "--lo", "-1", "2", "--hi", "1",
                    "4", "--seed", "11", "--out", str(tmp_path)])
@@ -199,6 +210,29 @@ def test_dump_geodesic_bytes_match_per_site_reference(tmp_path, n, seed):
     assert (tmp_path / "dump_geodesic.csv").read_bytes() == _per_site_csv(
         ["x1", "x2", "weight", "on_geodesic", "on_upmost", "on_downmost"],
         rows)
+
+
+# SHA-256 of dump_geodesic.csv and its summary for ``--n 40`` (p = 0.5),
+# recorded from the backtracking implementation of the extreme geodesics
+DUMP_GEODESIC_SHA256 = {
+    11: ("1bfa3c081382aef9fb52ac32eb1e02194b13b7fb995a353cd3a642575987684c",
+         "b0ee9dce9c2255064c84e0269ae5db5c4662b1e6777c1667d387b75c0eaa3083"),
+    222: ("987c2ae991f355860471df43532cfe6c7f2788394e81eee35a40266a799753c7",
+          "c713c98ff28328c279ff1bd3c7e1e85ed2dfbf91fcc2905b8327d9a6279d9dbb"),
+    3333: ("2a5cbc0d047e0367e0f6356536ba806d75ead13e1369eebac1751eeb6c8bae1d",
+           "6ff4adb425db13e4d6e46001731addcf8148a1d5732edde03cc1798db082fb46"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DUMP_GEODESIC_SHA256))
+def test_dump_geodesic_bytes_are_pinned(tmp_path, seed):
+    res = _invoke(["dump-geodesic", "--n", "40", "--seed", str(seed),
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("dump_geodesic.csv",
+                             "dump_geodesic_summary.json"))
+    assert got == DUMP_GEODESIC_SHA256[seed]
 
 
 def test_stationary_checks_pass(tmp_path):

@@ -24,7 +24,7 @@ from lppnoise.estimators import (bit_influence_on_Tn, corr_decay,
                                  walk_spec)
 from lppnoise.lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
                               coupled_cap, coupled_group, site_bits, weights)
-from lppnoise.lpp import geodesic_report, travel_time
+from lppnoise.lpp import forward_table, geodesic_report, travel_time
 from lppnoise.rng import Stream, derive_seed, uniform_array
 from lppnoise.stationary import lambda_params
 
@@ -172,8 +172,9 @@ def test_bootstrap_matches_the_old_loops(sizes, n_boot, seed, data_seed,
         want = _bootstrap_slope_loop(seed, n_boot, log_n, samples, stat_fn)
         point = np.array([stat_fn(x) for x in samples])
         assume((point > 0).all())
-        fit = estimators._bootstrap_slope(log_n, samples, stat_fn, n_boot,
-                                          seed)
+        fit = estimators._bootstrap_slope(
+            0.5, [8 * k for k in range(1, len(sizes) + 1)], samples, stat_fn,
+            n_boot, seed)
     lo, hi = np.percentile(want, [2.5, 97.5])
     assert np.array_equal([fit.ci_low, fit.ci_high], [lo, hi], equal_nan=True)
 
@@ -224,7 +225,7 @@ def test_bootstrap_chunks_match_the_old_loops(budget, m, n_boot, seed,
         got = estimators._bootstrap(
             seed, n_boot, [m], lambda i: estimators._corr_diff(base, a, b, i))
         want = _noise_comparison_loop(seed, n_boot, base, a, b)
-        fit = estimators._bootstrap_slope(log_n, samples,
+        fit = estimators._bootstrap_slope(0.5, [8, 16], samples,
                                           lambda s: s.var(ddof=1), n_boot,
                                           seed)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -305,6 +306,40 @@ def test_replica_loops_are_budget_invariant():
     for budget in (1, 40, 200):
         with mock.patch.object(lattice, "_SITE_BUDGET", budget):
             assert [key(r) for r in results()] == want
+
+
+def _backtracked_upmost(w):
+    """Reference upmost geodesic: from the top-right corner, step to a
+    neighbour with F == F[i, j] - w[i, j], trying (i-1, j) first."""
+    f = forward_table(w)
+    i, j = f.shape[0] - 1, f.shape[1] - 1
+    path = [(i, j)]
+    while i or j:
+        if i and f[i - 1, j] == f[i, j] - w[i, j]:
+            i -= 1
+        else:
+            j -= 1
+        path.append((i, j))
+    return np.array(path[::-1])
+
+
+def _midline_deviation(w):
+    """Reference statistic: max |x2 - n/2| over the backtracked upmost
+    geodesic's points on x1 = n/2."""
+    n = w.shape[0] - 1
+    path = _backtracked_upmost(w)
+    mid = path[path[:, 0] == n // 2, 1]
+    return float(np.max(np.abs(mid - n / 2.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 4), n=st.integers(1, 40),
+       p=st.floats(0.3, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_span_deviation_matches_backtracked_path(k, n, p, seed):
+    stack = np.random.default_rng(seed).geometric(p, (k, n + 1, n + 1)) - 1
+    got = estimators._span_deviation(stack)
+    assert got.dtype == np.float64
+    assert got.tolist() == [_midline_deviation(w) for w in stack]
 
 
 # -------------------------------------------------------------- random walks

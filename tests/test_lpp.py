@@ -14,9 +14,9 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import brute_geodesics, brute_travel
 from lppnoise import lpp
-from lppnoise.lpp import (backward_table, extreme_path, forward_table,
-                          geodesic_mask, geodesic_report, increment_profile,
-                          travel_time)
+from lppnoise.lpp import (backward_table, forward_table, geodesic_mask,
+                          geodesic_report, increment_profile, travel_time,
+                          upmost_span)
 
 
 def _col_minima(path: np.ndarray) -> dict[int, int]:
@@ -156,11 +156,29 @@ def _forward_walk_path(w, prefer_up):
 @given(w=st.tuples(st.integers(1, 30), st.integers(1, 30)).flatmap(
     lambda shape: arrays(np.int64, shape, elements=st.integers(0, 3))))
 def test_extreme_path_matches_forward_walk(w):
-    f = forward_table(w)
-    for upmost in (True, False):
-        path = extreme_path(f, w, upmost=upmost)
+    rep = geodesic_report(w)
+    for upmost, path in ((True, rep.upmost), (False, rep.downmost)):
         assert path.dtype == np.int64
         assert np.array_equal(path, _forward_walk_path(w, prefer_up=upmost))
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=st.tuples(st.integers(1, 4), st.integers(1, 12),
+                       st.integers(1, 12)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=st.integers(0, 3))),
+       block=st.integers(1, 6))
+def test_upmost_span_matches_upmost_path(stack, block):
+    ups = [geodesic_report(w).upmost for w in stack]
+    with mock.patch.object(lpp, "_ROW_BLOCK", block):  # cross row blocks
+        for i in range(stack.shape[1]):
+            a, b = upmost_span(stack, i)
+            assert a.dtype == b.dtype == np.int64
+            for k, (w, up) in enumerate(zip(stack, ups)):
+                cols = up[up[:, 0] == i, 1]
+                assert (a[k], b[k]) == (cols.min(), cols.max())
+                assert upmost_span(w, i) == (cols.min(), cols.max())
+        with pytest.raises(ValueError):
+            upmost_span(stack, stack.shape[1])
 
 
 def test_extreme_path_on_random_fields():
