@@ -5,9 +5,10 @@ so results are pure functions of ``(seed, parameters)``.  Paired
 designs (noise correlations across several times, coupled dynamics)
 reuse the same replica sub-seed so all coupling happens through the
 keyed randomness itself.  The lattice replica loops decode their fields
-in the groups of ``lattice.replica_groups`` and, where one number per
-field is needed (a travel time, the transversal span), run the DP on
-each group's stack; grouping changes no value.
+in the groups of ``lattice.replica_groups`` and, where a few numbers
+per field are needed (a travel time, the transversal span, bit
+influences), run the DP on each group's stack; grouping changes no
+value.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import numpy as np
 from .lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
                       coupled_cap, coupled_group, noisy_group, replica_groups,
                       scan_cap, site_bits, weight_group, weights)
-from .lpp import (backward_table, forward_table, geodesic_mask, travel_time,
-                  upmost_span)
+from .lpp import (backward_table, forward_table, geodesic_mask, last_row,
+                  travel_time, upmost_span)
 from .rng import Stream, derive_seed, uniform_array
-from .stationary import build_stationary
+from .stationary import _boundary_grid, lambda_params
 
 __all__ = [
     "EstimateWithCI",
@@ -311,19 +312,24 @@ def _scale_samples(p: float, n_list, replicas: int, seed: int, stack_stat):
 
 def _bootstrap_slope(p: float, n_list: list[int], samples: list[np.ndarray],
                      stat_fn, n_boot: int, seed: int) -> ExponentFit:
+    def log_stat(values, what: str) -> np.ndarray:
+        for n, v in zip(n_list, values):
+            if v <= 0:
+                raise ValueError(f"{what} is {v:g} at n={n} (p={p}, replicas="
+                                 f"{samples[0].size}); a log-log fit needs "
+                                 "it > 0")
+        return np.log(values)
+
     point = np.array([stat_fn(s) for s in samples])
-    for n, v in zip(n_list, point):
-        if v <= 0:
-            raise ValueError(f"statistic is {v:g} at n={n} (p={p}, replicas="
-                             f"{samples[0].size}); a log-log fit needs it > 0")
     log_n = np.log(np.array(n_list, dtype=float))
-    slope = float(np.polyfit(log_n, np.log(point), 1)[0])
+    slope = float(np.polyfit(log_n, log_stat(point, "statistic"), 1)[0])
 
     def refit(*idx):
         out = np.empty(len(idx[0]))
         for b in range(out.size):
             ys = np.array([stat_fn(s[i[b]]) for s, i in zip(samples, idx)])
-            out[b] = np.polyfit(log_n, np.log(np.maximum(ys, 1e-300)), 1)[0]
+            out[b] = np.polyfit(
+                log_n, log_stat(ys, "a bootstrap resample's statistic"), 1)[0]
         return out
 
     boots = _bootstrap(seed, n_boot, [s.size for s in samples], refit)
@@ -620,18 +626,17 @@ def sandwich_experiment(p: float, v: tuple[int, int], s: float, replicas: int,
 
     def one(r: int) -> tuple[bool, float]:
         sub = derive_seed(seed, Stream.REPLICA, r)
-        # plain weights on the columns up to the origin, rows up to +k
-        cfg_lo = WeightConfig(p, sub, Rect((-v1, -v2), (0, k)))
-        w_lo = weights(cfg_lo)
-        f = forward_table(w_lo)
-        delta = np.diff(f[v1, :])                  # Delta_j at index v2 + j - 1
-        get_col = {}
-        for tag, lam in ((1, lam_minus), (2, lam_plus)):
-            sf = build_stationary(p, lam, (v1, v2 + k),
-                                  derive_seed(sub, Stream.GENERIC, tag),
-                                  base=(-v1, -v2), bulk=w_lo)
-            get_col[tag] = np.diff(sf.G[v1, :])    # omega^V at the origin column
-        lo_col, hi_col = get_col[1], get_col[2]
+        # plain weights on the columns up to the origin, rows up to +k; the
+        # boundary grids at lam-+ share its bulk, so all three run as one
+        # stack.  Only the last rows (the origin column) are read.
+        w_lo = weights(WeightConfig(p, sub, Rect((-v1, -v2), (0, k))))
+        grids = [w_lo] + [
+            _boundary_grid(lambda_params(p, lam), (v1, v2 + k),
+                           derive_seed(sub, Stream.GENERIC, tag),
+                           base=(-v1, -v2), bulk=w_lo)
+            for tag, lam in ((1, lam_minus), (2, lam_plus))]
+        # Delta_j and omega^V at the origin column, at index v2 + j - 1
+        delta, lo_col, hi_col = np.diff(last_row(np.stack(grids)))
         js = np.concatenate([np.arange(-k, 0), np.arange(1, k + 1)]) + v2 - 1
         ok = bool(np.all((lo_col[js] <= delta[js]) & (delta[js] <= hi_col[js])))
         # reflected construction: bulk at hat-grid (i, j) is the plain
@@ -640,10 +645,9 @@ def sandwich_experiment(p: float, v: tuple[int, int], s: float, replicas: int,
         cfg_hat = WeightConfig(p, sub, Rect((1, -k - 1), (w1 - 1, w2 - 1)))
         bulk_hat = np.zeros((w1, w2 + k + 2), dtype=np.int64)
         bulk_hat[1:, 1:] = weights(cfg_hat)[::-1, ::-1]
-        sf_hat = build_stationary(p, lam_hat_plus, (w1 - 1, w2 + k + 1),
-                                  derive_seed(sub, Stream.GENERIC, 3),
-                                  bulk=bulk_hat)
-        inc_hat = np.diff(sf_hat.G[w1 - 1, :])
+        inc_hat = np.diff(last_row(_boundary_grid(
+            lambda_params(p, lam_hat_plus), (w1 - 1, w2 + k + 1),
+            derive_seed(sub, Stream.GENERIC, 3), bulk=bulk_hat)))
         # hat increment at hat-height w2 + 1 - j corresponds to original
         # site e1 + (j - 1) e2
         y = inc_hat[w2 - np.arange(1, k + 1)] - lo_col[v2 + np.arange(1, k + 1) - 1]
@@ -658,59 +662,66 @@ def sandwich_experiment(p: float, v: tuple[int, int], s: float, replicas: int,
 
 # ----------------------------------------------- bit influences on T_n
 
-_AVOID = -(2 ** 40)
-
-
-def _site_weight_variants(cfg: WeightConfig, v: tuple[int, int], i: int,
-                          w_v: int) -> tuple[int, int]:
-    """Site weights after forcing bit i to 1 and to 0."""
-    up = min(w_v, i)
-    if w_v != i:
-        return up, w_v
-    # forcing the first one to zero: the weight becomes the next set bit,
-    # looked for within the decode's own scan cap
+def _next_weight(cfg: WeightConfig, v: tuple[int, int], w_v: int) -> int:
+    """The site's weight after forcing its first one, bit ``w_v``, to 0:
+    the next set bit, looked for within the decode's own scan cap."""
     cap = scan_cap(cfg.p)
-    later = np.flatnonzero(site_bits(cfg, v, cap)[i + 1:])
+    later = np.flatnonzero(site_bits(cfg, v, cap)[w_v + 1:])
     if not later.size:
         raise RngIntegrityError(
             f"bit scan at p={cfg.p} exceeded {cap} rounds; keyed stream "
             "damaged")
-    return up, i + 1 + int(later[0])
+    return w_v + 1 + int(later[0])
 
 
 def _influence_rows(p: float, n: int, v_list, i_max: int, replicas: int,
                     seed: int):
     """Per-replica influence samples |E_xi T(sigma^xi)| - T| and visit
-    indicators for each listed site."""
+    indicators for each listed site.
+
+    Forcing bit i of site v sets its weight to ``up`` (bit 1) or ``down``
+    (bit 0); the flipped travel time is max(best path avoiding v, best
+    path through v with the new weight).  The first comes from v's
+    antidiagonal (see ``lpp``), so one pair of tables per group stack
+    serves every site and bit."""
     v_list = [tuple(v) for v in v_list]
-
-    def one(r: int):
-        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r), _square(n))
-        w = weights(cfg)
-        f, b = forward_table(w), backward_table(w)
-        total = int(f[-1, -1])
-        samp = np.zeros((len(v_list), i_max + 1))
-        visits = np.zeros(len(v_list), dtype=bool)
-        for a, v in enumerate(v_list):
-            w_v = int(w[v])
-            # best path sum through v with v's own weight removed; v is
+    region = _square(n)
+    bits = np.arange(i_max + 1)
+    samples, visits = [], []
+    for group in replica_groups(_replica_seeds(seed, 0, replicas), region):
+        w = weight_group(p, group, region)
+        # the best path through each vertex; (0, 0) is on every path
+        through = forward_table(w) + backward_table(w) - w
+        total = through[:, 0, 0]
+        samp = np.empty((len(group), len(v_list), bits.size))
+        hit = np.empty((len(group), len(v_list)), dtype=bool)
+        for a, (v1, v2) in enumerate(v_list):
+            w_v = w[:, v1, v2]
+            # the best path through v with v's own weight removed; v is
             # on a geodesic iff the best path through it is optimal
-            base_path = int(f[v] + b[v]) - 2 * w_v
-            visits[a] = base_path + w_v == total
-            wmod = w.copy()
-            wmod[v] = _AVOID
-            t_avoid = travel_time(wmod)
-            for i in range(i_max + 1):
-                up, down = _site_weight_variants(cfg, v, i, w_v)
-                mean_flip = (p * max(t_avoid, base_path + up)
-                             + (1.0 - p) * max(t_avoid, base_path + down))
-                samp[a, i] = abs(mean_flip - total)
-        return samp, visits
-
-    rows = [one(r) for r in range(replicas)]
-    samples = np.stack([s for s, _ in rows])          # (replicas, sites, bits)
-    visits = np.stack([vi for _, vi in rows])         # (replicas, sites)
-    return samples, visits
+            base_path = through[:, v1, v2] - w_v
+            hit[:, a] = through[:, v1, v2] == total
+            # v's antidiagonal, with v's entry lowered to base_path: the
+            # max is then max(avoid time, base_path), which equals the
+            # avoid time wherever it matters, as a new weight is >= 0
+            k = v1 + v2
+            diag = np.arange(max(0, k - n), min(k, n) + 1)
+            cross = through[:, diag, k - diag]
+            cross[:, v1 - diag[0]] = base_path
+            t_avoid = cross.max(axis=1)[:, None]
+            up = np.minimum(w_v[:, None], bits)
+            down = np.repeat(w_v[:, None], bits.size, axis=1)
+            for r in np.flatnonzero(w_v <= i_max):
+                cfg = WeightConfig(p, group[r], region)
+                down[r, w_v[r]] = _next_weight(cfg, (v1, v2), int(w_v[r]))
+            base_path = base_path[:, None]
+            mean_flip = (p * np.maximum(t_avoid, base_path + up)
+                         + (1.0 - p) * np.maximum(t_avoid, base_path + down))
+            samp[:, a] = np.abs(mean_flip - total[:, None])
+        samples.append(samp)
+        visits.append(hit)
+    # (replicas, sites, bits) and (replicas, sites)
+    return np.concatenate(samples), np.concatenate(visits)
 
 
 def bit_influence_on_Tn(p: float, n: int, v: tuple[int, int], i: int,

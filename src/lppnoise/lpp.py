@@ -9,14 +9,22 @@ along e2.  The travel time from corner to corner is
 computed by the recursion ``F[i,j] = w[i,j] + max(F[i-1,j], F[i,j-1])``.
 Rows (contiguous in memory) are filled with a prefix-maximum identity,
 so the quadratic table costs O(area) vector work in O(rows) ufunc calls
-instead of a Python-level double loop; ``travel_time`` runs it over a
-whole stack of fields at once.
+instead of a Python-level double loop.  ``forward_table``,
+``backward_table``, ``last_row``, ``travel_time`` and ``upmost_span``
+also run over a ``(K, n1, n2)`` stack of fields at once; the last three
+keep only O(width) memory per field.
 
 ``geodesic_mask`` gives the exact geodesic set as a vertex mask from the
 forward and backward tables.  A path leaves row i once, through an edge
 (i, j) -> (i+1, j) scoring ``F[i, j] + B[i+1, j]``, whose maximum over j
 is T.  The upmost geodesic leaves each row at its last maximum and the
 downmost at its first (``geodesic_report``; ``upmost_span`` for one row).
+
+In the same way a path crosses each antidiagonal i + j = k at exactly
+one vertex, where ``F + B - w`` is the best path through that vertex.
+So the best path that avoids a vertex v is the largest ``F + B - w``
+over the other vertices of v's antidiagonal: O(n) per vertex from one
+pair of tables, with no DP of a modified field.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import numpy as np
 __all__ = [
     "forward_table",
     "backward_table",
+    "last_row",
     "travel_time",
     "geodesic_mask",
     "GeodesicReport",
@@ -76,30 +85,40 @@ def _table_rows(w: np.ndarray):
 
 
 def forward_table(w: np.ndarray) -> np.ndarray:
-    """F[i,j] = travel time from (0,0) to (i,j)."""
-    w = _check_weights(w)
+    """F[..., i, j] = travel time from (0, 0) to (i, j), for a field or a
+    ``(K, n1, n2)`` stack."""
+    w = _check_weights(w, stack=True)
     f = np.empty_like(w)
     for i, row in enumerate(_table_rows(w)):
-        f[i] = row
+        f[..., i, :] = row
     return f
 
 
 def backward_table(w: np.ndarray) -> np.ndarray:
-    """B[i,j] = travel time from (i,j) to the top-right corner."""
-    w = _check_weights(w)
-    return forward_table(w[::-1, ::-1])[::-1, ::-1]
+    """B[..., i, j] = travel time from (i, j) to the top-right corner, for
+    a field or a ``(K, n1, n2)`` stack."""
+    w = _check_weights(w, stack=True)
+    return forward_table(w[..., ::-1, ::-1])[..., ::-1, ::-1]
+
+
+def _last_row(w: np.ndarray) -> np.ndarray:
+    for row in _table_rows(w):
+        pass
+    return row
+
+
+def last_row(w: np.ndarray) -> np.ndarray:
+    """The forward table's last row F[..., n1-1, :] with O(width) memory:
+    shape ``(n2,)`` for a field, ``(K, n2)`` for a stack, from one pass of
+    the recursion over all K fields."""
+    return _last_row(_check_weights(w, stack=True))
 
 
 def travel_time(w: np.ndarray):
-    """Corner-to-corner travel time with O(width) memory.
-
-    A ``(K, n1, n2)`` stack gives its K travel times as an int64 array,
-    from one pass of the recursion over all K fields; each step reads
-    one contiguous row of every field."""
-    w = _check_weights(w, stack=True)
-    for row in _table_rows(w):
-        pass
-    return int(row[-1]) if w.ndim == 2 else row[:, -1].copy()
+    """Corner-to-corner travel time: the last entry of ``last_row``.  A
+    ``(K, n1, n2)`` stack gives its K travel times as an int64 array."""
+    row = _last_row(_check_weights(w, stack=True))
+    return int(row[-1]) if row.ndim == 1 else row[:, -1].copy()
 
 
 @dataclass(frozen=True)

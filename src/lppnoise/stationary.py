@@ -124,20 +124,10 @@ class StationaryField:
         return bool(np.array_equal(np.minimum(oh, ov), self.grid[1:, 1:]))
 
 
-def build_stationary(p: float, lam: float, extent: tuple[int, int], seed: int,
-                     base: tuple[int, int] = (0, 0),
-                     bulk: np.ndarray | None = None) -> StationaryField:
-    """Sample boundary weights, fill the bulk, and run the passage DP.
-
-    ``bulk``, when given, must be a ``(m1+1, m2+1)`` array aligned with
-    the grid whose interior entries supply the bulk weights (its row 0
-    and column 0 are ignored); this is how a stationary field shares
-    randomness with a plain field over the same rectangle.  Boundary
-    weights always come from the seed's BOUNDARY_V stream at the
-    absolute boundary sites, so distinct seeds give independent
-    boundaries over a common bulk.
-    """
-    params = lambda_params(p, lam)
+def _boundary_grid(params: LambdaParams, extent: tuple[int, int], seed: int,
+                   base: tuple[int, int] = (0, 0),
+                   bulk: np.ndarray | None = None) -> np.ndarray:
+    """The modified weights of ``build_stationary``'s grid, without the DP."""
     m1, m2 = extent
     if m1 < 0 or m2 < 0:
         raise ValueError(f"extent must be nonnegative, got {extent}")
@@ -157,11 +147,31 @@ def build_stationary(p: float, lam: float, extent: tuple[int, int], seed: int,
                     f"bulk shape {bulk.shape} does not match grid {grid.shape}")
             grid[1:, 1:] = bulk[1:, 1:]
         else:
-            cfg = WeightConfig(p, seed, Rect((base[0] + 1, base[1] + 1),
-                                             (base[0] + m1, base[1] + m2)))
+            cfg = WeightConfig(params.p, seed,
+                               Rect((base[0] + 1, base[1] + 1),
+                                    (base[0] + m1, base[1] + m2)))
             grid[1:, 1:] = weights(cfg)
-    return StationaryField(params=params, base=base, extent=(m1, m2),
-                           grid=grid, G=forward_table(grid))
+    return grid
+
+
+def build_stationary(p: float, lam: float, extent: tuple[int, int], seed: int,
+                     base: tuple[int, int] = (0, 0),
+                     bulk: np.ndarray | None = None) -> StationaryField:
+    """Sample boundary weights, fill the bulk, and run the passage DP.
+
+    ``bulk``, when given, must be a ``(m1+1, m2+1)`` array aligned with
+    the grid whose interior entries supply the bulk weights (its row 0
+    and column 0 are ignored); this is how a stationary field shares
+    randomness with a plain field over the same rectangle.  Boundary
+    weights always come from the seed's BOUNDARY_V stream at the
+    absolute boundary sites, so distinct seeds give independent
+    boundaries over a common bulk.
+    """
+    params = lambda_params(p, lam)
+    grid = _boundary_grid(params, extent, seed, base, bulk)
+    return StationaryField(params=params, base=base,
+                           extent=(extent[0], extent[1]), grid=grid,
+                           G=forward_table(grid))
 
 
 def _check_in_grid(sf: StationaryField, x: tuple[int, int], name: str) -> None:

@@ -121,6 +121,20 @@ def test_degenerate_fit_names_the_scale(tmp_path):
             "n=2 (p=0.999, replicas=2)") in res.output
 
 
+def test_degenerate_bootstrap_resample_names_the_scale(tmp_path):
+    # at p = 0.95 some resample of the 4 replicas at n = 2 has variance 0;
+    # its log-log refit has no value, so the run must not report a CI
+    res = CliRunner().invoke(main, ["variance-scaling", "--p", "0.95",
+                                    "--n", "2", "--n", "3", "--n", "4",
+                                    "--replicas", "4", "--seed", "5",
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert ("invalid parameters for variance-scaling: a bootstrap "
+            "resample's statistic is 0 at n=2 (p=0.95, replicas=4)"
+            ) in res.output
+    assert not (tmp_path / "variance_scaling_summary.json").exists()
+
+
 def test_dump_field_matches_library(tmp_path):
     res = _invoke(["dump-field", "--p", "0.5", "--lo", "-1", "2", "--hi", "1",
                    "4", "--seed", "11", "--out", str(tmp_path)])
@@ -233,6 +247,59 @@ def test_dump_geodesic_bytes_are_pinned(tmp_path, seed):
                 for name in ("dump_geodesic.csv",
                              "dump_geodesic_summary.json"))
     assert got == DUMP_GEODESIC_SHA256[seed]
+
+
+# SHA-256 of the CSV and summary of three exact experiments, recorded
+# from the implementation that ran one full DP per avoided site, four
+# full forward tables per sandwich replica and a separate expectation
+# per influence and per variance term
+EXACT_COMMANDS = {
+    "sandwich": ["--p", "0.3", "--v", "40", "40", "--s", "0.2",
+                 "--replicas", "12"],
+    "influence-map": ["--p", "0.7", "--n", "3", "--replicas", "30",
+                      "--i-max", "10"],
+    "bks-verify": ["--m", "5", "--p", "0.3", "--t", "0.7", "--trials", "20"],
+}
+EXACT_SHA256 = {
+    ("sandwich", 13): (
+        "e302bc0c0ec1eeb8c00e4ffa53e0dc6576c1613c70585b4a7df4c8c041c4dfc9",
+        "d73633634e066e886874d2896a7859b2da30521cb6f71c3324b50a60da95c95b"),
+    ("sandwich", 808): (
+        "79d19bda765118d77f48752e74c1138c80bd3a93f7c3ac045e5b862c0b60e702",
+        "5a557f3eb97ab3e31f86d312a74cfba0b286a397f8caab9528b7790cea7a1baf"),
+    ("sandwich", 31337): (
+        "d53da75c461e0ce83517dec4275ecd98f21ac5585c4ab81272405a98cdc0b3fb",
+        "893bf8eb4df11cc5c18b9a94a9b08ae5c7ccb4e83fde9761e162827da1b91988"),
+    ("influence-map", 13): (
+        "1b93123ff51e8ce8d78e64fbc358b85083f98de93b32c755efd9b1641e4ad328",
+        "f52c1badaa765b9f38fd0396016d7ad8ab19621d07a980beb003d624ebc66348"),
+    ("influence-map", 808): (
+        "44dae077dad85561ca9d81695bcba4582a36a60b429a624cd49ad2c759cc1c45",
+        "4c27d28723fdacbfef71cb127d5adf07cf79dae95abab011bcc7de1ee246f75b"),
+    ("influence-map", 31337): (
+        "adc12433a98e43e5d893da8b77daf21428bfdb61d8203ec0f20c2c457d0bcde9",
+        "3ee5867813c38eefa45a859fc76bdacc083846c3715b5dde9458551399f8bcc8"),
+    ("bks-verify", 13): (
+        "a0d3782b1bbe03bca0e059e75ca6091c9be8e6555a065618e9e23b8bc72f82d5",
+        "fe39b7fe438da1a22132d542b32ee61b0b000439623ce4d3a25bbf28350a01af"),
+    ("bks-verify", 808): (
+        "f29fa6bf6c733b0b3e8ee996638e9e278df9ebfa20b569165a69d6a41a2282ca",
+        "5fef9c941f13535a2f53175b5a37fa5084e84a21e05783a1b09896ac24a367e4"),
+    ("bks-verify", 31337): (
+        "1251c8228e51088f4f4b2616db8d3d564cd5b9b25e8a097fb5ae48b9f59270dc",
+        "946cc47c8a6d22504ef15250856747c062c14b430f796e1341d04027cc027b1c"),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(EXACT_SHA256))
+def test_exact_experiment_bytes_are_pinned(tmp_path, name, seed):
+    res = _invoke([name, *EXACT_COMMANDS[name], "--seed", str(seed),
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    stem = name.replace("-", "_")
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in (f"{stem}.csv", f"{stem}_summary.json"))
+    assert got == EXACT_SHA256[name, seed]
 
 
 def test_stationary_checks_pass(tmp_path):
@@ -420,7 +487,7 @@ def test_run_rejects_p_below_floor(tmp_path):
 _TINY = {
     "corr-decay": {"p": 0.5, "n": 3, "t_values": [0.0, 0.5], "kind": "BIT",
                    "replicas": 30},
-    "variance-scaling": {"p": 0.5, "n_list": [2, 3, 4], "replicas": 2,
+    "variance-scaling": {"p": 0.5, "n_list": [2, 3, 4], "replicas": 16,
                          "n_boot": 10},
     "transversal": {"p": 0.5, "n_list": [2, 3, 4], "replicas": 2,
                     "n_boot": 10, "envelope_widths": [0, 2]},
@@ -540,8 +607,9 @@ def test_run_rejects_out_of_range_ints(tmp_path, name, params, message):
 _SMALL_COMMANDS = {
     "corr-decay": ["--p", "0.4", "--n", "4", "--t", "0", "--t", "0.5",
                    "--kind", "site", "--replicas", "30"],
+    # a bootstrap resample of 2 replicas often has variance 0 (exit 1)
     "variance-scaling": ["--n", "2", "--n", "3", "--n", "4", "--replicas",
-                         "2"],
+                         "16"],
     "transversal": ["--n", "2", "--n", "3", "--n", "4", "--replicas", "2",
                     "--envelope-width", "0", "--envelope-width", "2"],
     "geodesic-heatmap": ["--n", "4", "--replicas", "2"],

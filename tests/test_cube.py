@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lppnoise import cube
 from lppnoise.cube import (MAX_M, bks_params, cube_function, difference_op,
                            expectation, geometric_lsi_ratio,
                            geometric_lsi_terms, influence,
@@ -189,6 +192,33 @@ def test_bks_monotone_functions_satisfy_stated_form():
             continue
         rep = verify_bks(f, g, float(rng.uniform(0.1, 1.5)))
         assert rep.stated_holds and rep.proof_holds
+
+
+def _influence_from_gradient(f, i):
+    """E|grad_i f| summed over the whole stacked gradient tensor, as one
+    exactly rounded sum of its products with the measure."""
+    grad = np.abs(cube._grad_values(f.values, f.m, f.p, i))
+    return math.fsum((grad * cube._measure(f.m, f.p)).ravel())
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 12),
+       p=st.sampled_from([0.01, 0.3, 0.5, 0.77, 0.99]),
+       t=st.sampled_from([0.0, 0.05, 0.5, 3.0]), seed=st.integers(0, 2 ** 32))
+def test_verify_bks_equals_coordinatewise_terms(m, p, t, seed):
+    rng = np.random.default_rng(seed)
+    f = random_normal_function(m, p, rng)
+    g = random_normal_function(m, p, rng)
+    infl_f = [influence(f, i) for i in range(m)]
+    infl_g = [influence(g, i) for i in range(m)]
+    assert infl_f == [_influence_from_gradient(f, i) for i in range(m)]
+    assert expectation(f) == math.fsum(
+        (f.values * cube._measure(m, p)).ravel())
+    rep = verify_bks(f, g, t)
+    assert rep.var_f == variance(f) and rep.var_g == variance(g)
+    assert rep.influence_sum == math.fsum(a * b for a, b in zip(infl_f,
+                                                                 infl_g))
+    assert rep.lhs == noisy_covariance(f, g, t)
 
 
 def test_bks_rejects_constant_functions():

@@ -23,8 +23,10 @@ from lppnoise.estimators import (bit_influence_on_Tn, corr_decay,
                                  variance_scaling, visit_vs_influence,
                                  walk_spec)
 from lppnoise.lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
-                              coupled_cap, coupled_group, site_bits, weights)
-from lppnoise.lpp import forward_table, geodesic_report, travel_time
+                              coupled_cap, coupled_group, scan_cap, site_bits,
+                              weights)
+from lppnoise.lpp import (backward_table, forward_table, geodesic_report,
+                          travel_time)
 from lppnoise.rng import Stream, derive_seed, uniform_array
 from lppnoise.stationary import lambda_params
 
@@ -111,7 +113,8 @@ def test_corr_difference_ci_is_deterministic_and_centered():
 
 # The three resampling loops that estimators._bootstrap replaced, as they
 # were written: corr_difference_ci, noise_comparison (1000 resamples) and
-# _bootstrap_slope.
+# _bootstrap_slope.  The last also says whether it clamped a resample
+# statistic <= 0; _bootstrap_slope now rejects such a resample.
 
 def _corr_difference_loop(seed, n_boot, base, a, b):
     rng = np.random.default_rng(seed)
@@ -138,11 +141,25 @@ def _noise_comparison_loop(seed, n_boot, t0, ts, tb):
 def _bootstrap_slope_loop(seed, n_boot, log_n, samples, stat_fn):
     rng = np.random.default_rng(seed)
     boots = np.empty(n_boot)
+    clamped = False
     for b in range(n_boot):
         ys = np.array([stat_fn(s[rng.integers(0, s.size, s.size)])
                        for s in samples])
+        clamped |= bool((ys <= 0).any())
         boots[b] = np.polyfit(log_n, np.log(np.maximum(ys, 1e-300)), 1)[0]
-    return boots
+    return boots, clamped
+
+
+def _slope_fit_or_rejection(n_list, samples, stat_fn, n_boot, seed, clamped):
+    """``_bootstrap_slope``'s fit, or None where the old loop clamped a
+    resample statistic, which must now raise."""
+    if not clamped:
+        return estimators._bootstrap_slope(0.5, n_list, samples, stat_fn,
+                                           n_boot, seed)
+    with pytest.raises(ValueError, match="a bootstrap resample's statistic"):
+        estimators._bootstrap_slope(0.5, n_list, samples, stat_fn, n_boot,
+                                    seed)
+    return None
 
 
 @settings(max_examples=80, deadline=None)
@@ -169,14 +186,17 @@ def test_bootstrap_matches_the_old_loops(sizes, n_boot, seed, data_seed,
         assert np.array_equal(got, _noise_comparison_loop(seed, n_boot, base,
                                                           a, b),
                               equal_nan=True)
-        want = _bootstrap_slope_loop(seed, n_boot, log_n, samples, stat_fn)
+        want, clamped = _bootstrap_slope_loop(seed, n_boot, log_n, samples,
+                                              stat_fn)
         point = np.array([stat_fn(x) for x in samples])
         assume((point > 0).all())
-        fit = estimators._bootstrap_slope(
-            0.5, [8 * k for k in range(1, len(sizes) + 1)], samples, stat_fn,
-            n_boot, seed)
-    lo, hi = np.percentile(want, [2.5, 97.5])
-    assert np.array_equal([fit.ci_low, fit.ci_high], [lo, hi], equal_nan=True)
+        fit = _slope_fit_or_rejection(
+            [8 * k for k in range(1, len(sizes) + 1)], samples, stat_fn,
+            n_boot, seed, clamped)
+    if fit is not None:
+        lo, hi = np.percentile(want, [2.5, 97.5])
+        assert np.array_equal([fit.ci_low, fit.ci_high], [lo, hi],
+                              equal_nan=True)
 
 
 def test_corr_difference_ci_matches_the_old_loop():
@@ -225,14 +245,16 @@ def test_bootstrap_chunks_match_the_old_loops(budget, m, n_boot, seed,
         got = estimators._bootstrap(
             seed, n_boot, [m], lambda i: estimators._corr_diff(base, a, b, i))
         want = _noise_comparison_loop(seed, n_boot, base, a, b)
-        fit = estimators._bootstrap_slope(0.5, [8, 16], samples,
-                                          lambda s: s.var(ddof=1), n_boot,
-                                          seed)
+        slopes, clamped = _bootstrap_slope_loop(seed, n_boot, log_n, samples,
+                                                lambda s: s.var(ddof=1))
+        fit = _slope_fit_or_rejection([8, 16], samples,
+                                      lambda s: s.var(ddof=1), n_boot, seed,
+                                      clamped)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    slopes = _bootstrap_slope_loop(seed, n_boot, log_n, samples,
-                                   lambda s: s.var(ddof=1))
-    assert np.array_equal([fit.ci_low, fit.ci_high],
-                          np.percentile(slopes, [2.5, 97.5]), equal_nan=True)
+    if fit is not None:
+        assert np.array_equal([fit.ci_low, fit.ci_high],
+                              np.percentile(slopes, [2.5, 97.5]),
+                              equal_nan=True)
 
 
 def _noise_comparison_per_replica(p, n, t, replicas, seed):
@@ -292,20 +314,29 @@ def test_geodesic_maps_match_per_replica_loops(budget, n):
 
 
 def test_replica_loops_are_budget_invariant():
-    def results():
-        return (corr_decay(0.5, 9, (0.0, 0.5, 0.25), NoiseKind.SITE, 30, 83),
-                corr_decay(0.3, 6, (1.0, 0.5), NoiseKind.BIT, 30, 84),
-                variance_scaling(0.5, (3, 7, 12), 9, 85, n_boot=50),
-                transversal_exponent(0.5, (4, 8, 13), 9, 86, n_boot=50))
+    def runs():
+        return [
+            lambda: corr_decay(0.5, 9, (0.0, 0.5, 0.25), NoiseKind.SITE, 30,
+                               83),
+            lambda: corr_decay(0.3, 6, (1.0, 0.5), NoiseKind.BIT, 30, 84),
+            lambda: variance_scaling(0.5, (3, 7, 12), 9, 85, n_boot=50),
+            # a resample of these has median deviation 0 and is rejected,
+            # so the samples themselves are compared too
+            lambda: transversal_exponent(0.5, (4, 8, 13), 9, 86, n_boot=50),
+            lambda: estimators._scale_samples(0.5, (4, 8, 13), 9, 86,
+                                              estimators._span_deviation)]
 
-    def key(res):
+    def key(run):
         # dataclass equality would compare the samples arrays elementwise
-        return repr(res)
+        try:
+            return repr(run())
+        except ValueError as exc:
+            return f"ValueError: {exc}"
 
-    want = [key(r) for r in results()]
+    want = [key(run) for run in runs()]
     for budget in (1, 40, 200):
         with mock.patch.object(lattice, "_SITE_BUDGET", budget):
-            assert [key(r) for r in results()] == want
+            assert [key(run) for run in runs()] == want
 
 
 def _backtracked_upmost(w):
@@ -579,6 +610,65 @@ def _influence_oracle(p, n, v, i, replicas, seed):
     return out
 
 
+_AVOID = -(2 ** 40)   # a weight no geodesic takes
+
+
+def _site_weight_variants(cfg, v, i, w_v):
+    """Site weights after forcing bit i to 1 and to 0."""
+    up = min(w_v, i)
+    if w_v != i:
+        return up, w_v
+    later = np.flatnonzero(site_bits(cfg, v, scan_cap(cfg.p))[i + 1:])
+    assert later.size
+    return up, i + 1 + int(later[0])
+
+
+def _influence_rows_per_replica(p, n, v_list, i_max, replicas, seed):
+    """``estimators._influence_rows`` as one full DP per replica and site:
+    the avoid time is the travel time with v's weight set to _AVOID, and
+    every bit's flipped weights are looked up one by one."""
+    samples = np.zeros((replicas, len(v_list), i_max + 1))
+    visits = np.zeros((replicas, len(v_list)), dtype=bool)
+    for r in range(replicas):
+        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r),
+                           Rect((0, 0), (n, n)))
+        w = weights(cfg)
+        f, b = forward_table(w), backward_table(w)
+        total = int(f[-1, -1])
+        for a, v in enumerate(v_list):
+            w_v = int(w[v])
+            base_path = int(f[v] + b[v]) - 2 * w_v
+            visits[r, a] = base_path + w_v == total
+            wmod = w.copy()
+            wmod[v] = _AVOID
+            t_avoid = travel_time(wmod)
+            for i in range(i_max + 1):
+                up, down = _site_weight_variants(cfg, v, i, w_v)
+                mean_flip = (p * max(t_avoid, base_path + up)
+                             + (1.0 - p) * max(t_avoid, base_path + down))
+                samples[r, a, i] = abs(mean_flip - total)
+    return samples, visits
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), p=st.sampled_from([0.01, 0.5, 0.99]),
+       i_max=st.integers(0, 12), replicas=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32), budget=st.sampled_from([1, 300, 2 ** 15]),
+       data=st.data())
+def test_influence_rows_match_per_replica_dp(n, p, i_max, replicas, seed,
+                                             budget, data):
+    # corners (alone on their antidiagonals), edges and interior sites;
+    # small budgets split the replicas into several group stacks
+    site = st.tuples(st.integers(0, n), st.integers(0, n))
+    v_list = [(0, 0), (n, n), (0, n)] + data.draw(
+        st.lists(site, min_size=1, max_size=4))
+    with mock.patch.object(lattice, "_SITE_BUDGET", budget):
+        got = estimators._influence_rows(p, n, v_list, i_max, replicas, seed)
+    want = _influence_rows_per_replica(p, n, v_list, i_max, replicas, seed)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
 @pytest.mark.parametrize("v,i", [((3, 3), 0), ((3, 3), 1), ((3, 3), 4),
                                  ((0, 0), 2), ((5, 2), 0), ((2, 5), 3)])
 def test_bit_influence_matches_full_dp_oracle(v, i):
@@ -615,7 +705,7 @@ def test_bit_surgery_on_a_stream_without_ones_is_caught(monkeypatch):
                         np.zeros(np.shape(index), dtype=bool))
     cfg = WeightConfig(0.5, 7, Rect((0, 0), (4, 4)))
     with pytest.raises(RngIntegrityError):
-        estimators._site_weight_variants(cfg, (1, 1), 2, 2)
+        estimators._next_weight(cfg, (1, 1), 2)
 
 
 def test_influence_decays_in_bit_index():

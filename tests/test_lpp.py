@@ -15,8 +15,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import brute_geodesics, brute_travel
 from lppnoise import lpp
 from lppnoise.lpp import (backward_table, forward_table, geodesic_mask,
-                          geodesic_report, increment_profile, travel_time,
-                          upmost_span)
+                          geodesic_report, increment_profile, last_row,
+                          travel_time, upmost_span)
 
 
 def _col_minima(path: np.ndarray) -> dict[int, int]:
@@ -75,6 +75,31 @@ def test_stacked_travel_time_matches_each_field(stack, transpose, block):
         for k, w in enumerate(stack):
             assert tt[k] == travel_time(w) == brute_travel(w)
             assert np.array_equal(forward_table(w), _python_forward(w))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack=st.tuples(st.integers(1, 4), st.integers(1, 9),
+                       st.integers(1, 9)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=st.integers(0, 40))),
+       view=st.sampled_from(["plain", "transpose", "reverse", "every_other"]),
+       block=st.integers(1, 6))
+def test_stacked_tables_and_last_row_match_each_field(stack, view, block):
+    # non-contiguous stacks read rows with a stride or backwards
+    stack = {"plain": stack, "transpose": stack.transpose(0, 2, 1),
+             "reverse": stack[::-1, ::-1, ::-1],
+             "every_other": stack[::2, :, ::2]}[view]
+    with mock.patch.object(lpp, "_ROW_BLOCK", block):  # cross row blocks
+        f, b, last = forward_table(stack), backward_table(stack), \
+            last_row(stack)
+        assert f.shape == b.shape == stack.shape
+        assert last.dtype == np.int64 and last.shape == \
+            (stack.shape[0], stack.shape[2])
+        for k, w in enumerate(stack):
+            fw = _python_forward(w)
+            assert np.array_equal(f[k], fw)
+            assert np.array_equal(b[k], _python_forward(w[::-1, ::-1])[::-1, ::-1])
+            assert np.array_equal(last[k], fw[-1])
+            assert np.array_equal(last_row(w), forward_table(w)[-1])
 
 
 def test_tables_span_several_row_blocks():
