@@ -24,7 +24,7 @@ from .lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
                       scan_cap, site_bits, weight_group, weights)
 from .lpp import (backward_table, forward_table, geodesic_mask, last_row,
                   travel_time, upmost_span)
-from .rng import Stream, derive_seed, uniform_array
+from .rng import Stream, derive_seed, hash_array, hash_cuts, uniform_array
 from .stationary import _boundary_grid, lambda_params
 
 __all__ = [
@@ -526,7 +526,7 @@ def rw_exact_nonneg(spec: WalkSpec, n_steps: int) -> float:
 
 
 # Steps in rw_nonneg_bound's first block, and the most keys one block
-# draws (2**21 float64 uniforms are 16 MiB).
+# draws (2**21 uint64 hashes are 16 MiB).
 _WALK_FIRST_BLOCK = 16
 _WALK_DRAW_BUDGET = 2**21
 
@@ -546,11 +546,15 @@ def rw_nonneg_bound(spec: WalkSpec, n_steps: int, replicas: int,
                     seed: int) -> RwBoundReport:
     """Simulated stay-nonnegative probability against the closed bound.
 
-    Step ``k`` of walk ``w`` is the keyed draw ``(seed, GENERIC, w, k, 0)``.
-    Walks advance in blocks of steps (16, then doubling) and a walk that
-    has gone negative is dropped, so it draws no further keys; skipping a
-    draw leaves every other draw unchanged, so the hit count equals the
-    one from simulating all N steps of every walk.  A block holds at most
+    Step ``k`` of walk ``w`` is the keyed draw ``(seed, GENERIC, w, k, 0)``
+    read by inversion: value j of the law where the draw's uniform U has
+    passed j cumulative probabilities, ``searchsorted(cuts, U, "right")``.
+    The index is decided on the raw hash h as the number of cut bounds
+    (``rng.hash_cuts``) that h reaches.  Walks advance in blocks of steps
+    (16, then doubling) and a walk that has gone negative is dropped, so
+    it draws no further keys; skipping a draw leaves every other draw
+    unchanged, so the hit count equals the one from simulating all N
+    steps of every walk.  A block holds at most
     ``_WALK_DRAW_BUDGET`` draws (alive walks x steps), which bounds memory
     for any ``replicas`` and ``n_steps``.
 
@@ -558,9 +562,9 @@ def rw_nonneg_bound(spec: WalkSpec, n_steps: int, replicas: int,
     N <= 24 (transition enumeration elsewhere in tests)."""
     if replicas < 1:
         raise ValueError("need at least one replica")
-    # Searching all but the last cut point maps every u in [0, 1) to a
-    # valid index even when the probabilities sum to just under 1.
-    cuts = np.cumsum(spec.probs)[:-1]
+    # Counting all but the last cut point maps every hash to a valid
+    # index even when the probabilities sum to just under 1.
+    bounds = hash_cuts(np.cumsum(spec.probs)[:-1])
     vals = np.array(spec.values, dtype=np.int64)
     hits = 0
     for first in range(0, replicas, _WALK_DRAW_BUDGET):
@@ -571,10 +575,15 @@ def rw_nonneg_bound(spec: WalkSpec, n_steps: int, replicas: int,
         while walk.size and step < n_steps:
             size = min(block, n_steps - step, _WALK_DRAW_BUDGET // walk.size)
             steps = np.arange(step, step + size, dtype=np.int64)
-            u = uniform_array(seed, Stream.GENERIC, walk[:, None],
-                              steps[None, :], 0)
-            path = np.cumsum(vals[np.searchsorted(cuts, u, side="right")],
-                             axis=1)
+            h = hash_array(seed, Stream.GENERIC, walk[:, None],
+                           steps[None, :], 0)
+            idx = np.zeros(h.shape, dtype=np.intp)
+            for b in bounds:
+                idx += h >= b
+            del h       # the block's peak memory is two arrays, not three
+            path = vals.take(idx)
+            del idx
+            np.cumsum(path, axis=1, out=path)
             path += pos[:, None]
             alive = path.min(axis=1) >= 0
             walk, pos = walk[alive], path[alive, -1]

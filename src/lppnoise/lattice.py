@@ -21,6 +21,11 @@ Three dynamics produce a time-t partner of a field:
   at time t in the BIT dynamics is also resampled at time ``M*t`` in the
   site dynamics.
 
+No draw is turned into a float: a bit is ``U < p`` and a clock rings by
+time t iff ``-log(1 - U) <= t``, and both are decided by one integer
+compare of the raw 64-bit hash (``rng.bernoulli_at``, ``rng.rings_at``),
+with the values of the float draws.
+
 Every field is decoded by one scan (``_scan``) that carries only the
 unresolved sites, compressed: their flat indices, their per-site key
 prefixes (``rng.key_prefix``, so a round absorbs only the bit index) and
@@ -63,7 +68,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rng import Stream, bernoulli_at, exponential_at, key_prefix
+from .rng import Stream, bernoulli_at, key_prefix, rings_at
 
 __all__ = [
     "scan_cap",
@@ -185,12 +190,6 @@ def _scan(n_members: int, n_sites: int, cap: int, prefixes,
     return out
 
 
-def _ring_by(t: np.ndarray) -> np.ndarray:
-    """Clock thresholds of noise times: a clock rings by time t > 0 iff
-    it is <= t, and no clock (not even one of 0) rings by time 0."""
-    return np.where(t > 0.0, t, -np.inf)
-
-
 def _decode(seed, p: float, sx, sy, times=(0.0,),
             tag: Stream = Stream.BIT_X) -> np.ndarray:
     """Weights of one member per noise time on the keys ``(seed, sx, sy)``.
@@ -204,12 +203,11 @@ def _decode(seed, p: float, sx, sy, times=(0.0,),
     and sy; seeds shaped ``(R, 1, 1)`` decode R replicas in one scan.
     Returns shape ``(len(times),) + broadcast(seed, sx, sy)``.
     """
-    t = np.asarray(times, dtype=np.float64)
+    t = tuple(map(float, times))
     px = key_prefix(seed, tag, sx, sy)
     shape = np.shape(px)
     prefixes = [px.ravel()]
-    if (t > 0.0).any():
-        ring_by = _ring_by(t)[:, None]
+    if any(x > 0.0 for x in t):
         prefixes += [key_prefix(seed, s, sx, sy).ravel()
                      for s in (Stream.CLOCK_U, Stream.BIT_XPRIME)]
 
@@ -218,18 +216,18 @@ def _decode(seed, p: float, sx, sy, times=(0.0,),
             # carried site draws both, which costs less than gathering
             # the sites that need each
             x, xr = bernoulli_at(pre[0], i, p), bernoulli_at(pre[2], i, p)
-            rung = exponential_at(pre[1], i) <= ring_by
+            rung = rings_at(pre[1], i, t)
             return x ^ (rung & (x ^ xr))
     else:
         def hits(pre, i):
             return bernoulli_at(pre[0], i, p)
 
     cap = scan_cap(p)
-    w = _scan(t.size, px.size, cap, prefixes, hits)
+    w = _scan(len(t), px.size, cap, prefixes, hits)
     if (w < 0).any():
         raise RngIntegrityError(
             f"bit scan at p={p} exceeded {cap} rounds; keyed stream damaged")
-    return w.reshape((t.size,) + shape)
+    return w.reshape((len(t),) + shape)
 
 
 def _open_grid(region: Rect) -> tuple[np.ndarray, np.ndarray]:
@@ -311,10 +309,11 @@ def noisy_group(p: float, seeds, region: Rect, t_values,
         return _by_strips(lambda col, xs, ys: _decode(col, p, xs, ys, t),
                           seeds, region)
 
+    times = tuple(t.tolist())
+
     def site(col, xs, ys):
         base = _decode(col, p, xs, ys)[0]
-        clock = exponential_at(key_prefix(col, Stream.SITE_CLOCK, xs, ys), 0)
-        rung = clock <= _ring_by(t)[:, None, None, None]
+        rung = rings_at(key_prefix(col, Stream.SITE_CLOCK, xs, ys), 0, times)
         swapped = rung.any(axis=0)
         repl = base.copy()
         repl[swapped] = _replacement(p, col, xs, ys, swapped)
@@ -350,7 +349,7 @@ def coupled_group(p: float, seeds, region: Rect, t: float,
             # site's clocks are read only up to the first such one
             pu = key_prefix(col, Stream.CLOCK_U, xs, ys).ravel()
             first = _scan(1, pu.size, m, [pu], lambda pre, i:
-                          exponential_at(pre[0], i) <= t)
+                          rings_at(pre[0], i, (t,)))
             rung = (first[0] >= 0).reshape(out.shape[1:])
             out[2][rung] = _replacement(p, col, xs, ys, rung)
         return out

@@ -8,18 +8,27 @@ regenerated lazily from their keys instead of being stored.
 
 The key is hashed into 64 bits with a splitmix64-style chain (one
 finalizer round per absorbed field), which is a counter-based PRF of
-adequate statistical quality for Monte Carlo work.  Uniform variates
-keep the full 53-bit double resolution.
+adequate statistical quality for Monte Carlo work.  A hash h stands for
+the uniform ``U = (h >> 11) * 2**-53``, which keeps the full 53-bit
+double resolution.
+
+A draw that is only compared with a threshold is decided on h itself,
+without the float work: U >= c iff h >= ``ceil(c * 2**53) << 11``
+(``_cut``).  Bernoulli bits (``bernoulli_at``), the steps of a walk
+(``hash_cuts`` on ``hash_array``) and the Exp(1) clocks ``-log(1 - U)``
+(``rings_at``, through the cached integer bound ``_ring_bound(t)``) all
+take this one integer compare, with the values of the float draws.
 
 The chain absorbs ``index`` last, so the state after ``(seed, tag, x,
 y)`` is a per-site *key prefix* (``key_prefix``): a scan over the
 indices of one site hashes the prefix once and then needs one finalizer
-round per draw (``uniform_at``, ``exponential_at``, ``bernoulli_at``),
-with the same values as the full key.
+round per draw (``bernoulli_at``, ``rings_at``), with the same values as
+the full key.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import IntEnum
 
@@ -28,12 +37,13 @@ import numpy as np
 __all__ = [
     "Stream",
     "uniform_array",
+    "hash_array",
+    "hash_cuts",
     "geometric_array",
     "derive_seed",
     "key_prefix",
-    "uniform_at",
-    "exponential_at",
     "bernoulli_at",
+    "rings_at",
 ]
 
 _U64 = np.uint64
@@ -113,8 +123,8 @@ def _absorb(prefix, index) -> np.ndarray:
         return _mix(prefix ^ (_as_u64(index) * _GOLDEN_U64))
 
 
-def _hash_key(seed: int, tag: int, sx, sy, index) -> np.ndarray:
-    """Vectorized keyed hash; broadcasts sx, sy, index."""
+def hash_array(seed: int, tag: Stream, sx, sy, index) -> np.ndarray:
+    """The raw 64-bit keyed hashes of the broadcast key arrays."""
     return _absorb(key_prefix(seed, tag, sx, sy), index)
 
 
@@ -124,33 +134,107 @@ def _unit(h) -> np.ndarray:
     return h * (2.0 ** -53)
 
 
-def uniform_at(prefix, index) -> np.ndarray:
-    """Uniform[0, 1) variates of the keys ``prefix`` + ``index``."""
-    return _unit(_absorb(prefix, index))
+def _cut(c: float) -> int:
+    """The least hash whose uniform reaches the cut point ``c >= 0``.
 
-
-def exponential_at(prefix, index) -> np.ndarray:
-    """Exp(1) variates ``-log(1 - U)`` of the keys ``prefix`` + ``index``."""
-    return -np.log1p(-uniform_at(prefix, index))
+    With k = h >> 11 the uniform is k * 2**-53 exactly, so it is >= c iff
+    k >= c * 2**53 iff k >= ceil(c * 2**53) (k is an integer and c * 2**53
+    is exact) iff h >= ceil(c * 2**53) << 11.  A cut of 0 is reached by
+    every hash; one of 2**64 or more (c > 1 - 2**-53) by none."""
+    return math.ceil(c * 2.0 ** 53) << 11
 
 
 def _below(h, p: float) -> np.ndarray:
-    """``(h >> 11) * 2**-53 < p`` without the float conversion.
-
-    With k = h >> 11 the uniform is k * 2**-53 exactly, so it is < p iff
-    k < p * 2**53 iff k < c = ceil(p * 2**53) (k is an integer and
-    p * 2**53 is exact) iff h < c << 11; c << 11 < 2**64 for p < 1."""
-    return h < _U64(math.ceil(p * 2.0 ** 53) << 11)
+    """``(h >> 11) * 2**-53 < p`` without the float conversion; the cut
+    of 0 < p < 1 is below 2**64."""
+    return h < _U64(_cut(p))
 
 
 def bernoulli_at(prefix, index, p: float) -> np.ndarray:
-    """Bits ``uniform_at(prefix, index) < p``."""
+    """Bits ``U < p`` of the keys ``prefix`` + ``index``."""
     return _below(_absorb(prefix, index), p)
+
+
+def hash_cuts(cuts) -> np.ndarray:
+    """The hash bounds ``_cut(c)`` of the nondecreasing cut points
+    ``cuts`` that some hash reaches, as uint64: the number of them a hash
+    h is >= equals ``searchsorted(cuts, (h >> 11) * 2**-53, "right")``."""
+    return np.array([b for b in map(_cut, cuts) if b <= _MASK64],
+                    dtype=np.uint64)
+
+
+def _clock(k) -> np.ndarray:
+    # the Exp(1) clocks -log(1 - U) of the hashes with h >> 11 = k, in the
+    # array arithmetic of an exponential draw
+    return -np.log1p(-(np.asarray(k, dtype=np.uint64) * 2.0 ** -53))
+
+
+# Every k this close to K is checked by _ring_bound; farther off, the
+# exact clock is more than 4096 * 2**-53 = 2**-41 from t, which is at
+# least 64 ulps of any t < 64.
+_RING_WINDOW = 4096
+
+
+@functools.cache
+def _ring_bound(t: float) -> int:
+    """B(t) with: the Exp(1) clock of a hash h has rung by time t iff
+    h < B(t).
+
+    No clock rings by time 0 (B = 0).  For t > 0 a clock rings iff it is
+    <= t.  The clock is nondecreasing in k = h >> 11, so the clocks <= t
+    are those of k <= K, the largest such k, found by bisection, and
+    B(t) = (K + 1) << 11.  Every k within ``_RING_WINDOW`` of K is then
+    checked against "k <= K", which makes B exact as long as numpy's
+    log1p errs by less than 64 ulps.  From the clock of the largest hash
+    (about 36.74) on, every clock rings and B = 2**64."""
+    if not t > 0.0:
+        return 0
+    lo, hi = 0, (1 << 53) - 1
+    if _clock(hi) <= t:
+        lo = hi
+    while hi - lo > 1:      # _clock(lo) <= t < _clock(hi)
+        mid = (lo + hi) // 2
+        if _clock(mid) <= t:
+            lo = mid
+        else:
+            hi = mid
+    k = np.arange(max(lo - _RING_WINDOW, 0),
+                  min(lo + _RING_WINDOW, (1 << 53) - 1) + 1, dtype=np.uint64)
+    if not np.array_equal(_clock(k) <= t, k <= _U64(lo)):
+        raise ArithmeticError(
+            f"Exp(1) clocks near t={t!r} are not monotone in the hash; "
+            f"numpy's log1p is too inexact to decide them on the hash")
+    return (lo + 1) << 11
+
+
+@functools.cache
+def _ring_rows(times: tuple) -> tuple[np.ndarray, list[int]]:
+    # uint64 bounds per time, and the times every clock has rung by
+    # (their bound 2**64 does not fit, so they compare with 2**64 - 1)
+    bounds = [_ring_bound(t) for t in times]
+    return (np.array([min(b, _MASK64) for b in bounds], dtype=np.uint64),
+            [i for i, b in enumerate(bounds) if b > _MASK64])
+
+
+def rings_at(prefix, index, times: tuple) -> np.ndarray:
+    """Whether the Exp(1) clocks ``-log(1 - U)`` of the keys ``prefix`` +
+    ``index`` have rung by each of ``times``: shape
+    ``(len(times),) + keys``.
+
+    A clock rings by time t > 0 iff it is <= t, and none rings by time 0.
+    Decided on the raw hash h as ``h < _ring_bound(t)``; ``times`` is a
+    tuple of floats, so its bounds are computed once."""
+    h = _absorb(prefix, index)
+    bounds, every = _ring_rows(times)
+    rung = h < bounds.reshape(bounds.shape + (1,) * h.ndim)
+    if every:
+        rung[every] = True
+    return rung
 
 
 def uniform_array(seed: int, tag: Stream, sx, sy, index) -> np.ndarray:
     """Uniform[0, 1) variates for the broadcast key arrays."""
-    return _unit(_hash_key(seed, tag, sx, sy, index))
+    return _unit(hash_array(seed, tag, sx, sy, index))
 
 
 def geometric_array(seed: int, tag: Stream, sx, sy, index, p: float) -> np.ndarray:
@@ -163,4 +247,4 @@ def geometric_array(seed: int, tag: Stream, sx, sy, index, p: float) -> np.ndarr
 
 def derive_seed(seed: int, tag: Stream, index: int) -> int:
     """Derive an independent 64-bit sub-seed (replicas, sub-fields)."""
-    return int(_hash_key(int(seed), int(tag), 0, 0, int(index)))
+    return int(hash_array(int(seed), int(tag), 0, 0, int(index)))

@@ -302,6 +302,86 @@ def test_exact_experiment_bytes_are_pinned(tmp_path, name, seed):
     assert got == EXACT_SHA256[name, seed]
 
 
+# SHA-256 of the CSV and summary of the walk and noise experiments,
+# recorded from the implementation that turned every walk step into a
+# double for a float search and every Exp(1) clock into -log1p(-U)
+DRAW_COMMANDS = {
+    "rw-bound-pm1": ["rw-bound", "--value", "-1", "--prob", "0.45", "--value",
+                     "1", "--prob", "0.55", "--steps", "16", "--steps", "300",
+                     "--replicas", "1500"],
+    "rw-bound-m2-0-3": ["rw-bound", "--value", "-2", "--prob", "0.4",
+                        "--value", "0", "--prob", "0.3", "--value", "3",
+                        "--prob", "0.3", "--steps", "20", "--steps", "400",
+                        "--replicas", "1500"],
+    "corr-decay-bit": ["corr-decay", "--p", "0.3", "--n", "12", "--t", "0",
+                       "--t", "0.25", "--t", "4", "--kind", "bit",
+                       "--replicas", "30"],
+    "corr-decay-site": ["corr-decay", "--p", "0.3", "--n", "12", "--t", "0",
+                        "--t", "0.25", "--t", "4", "--kind", "site",
+                        "--replicas", "30"],
+    "noise-compare": ["noise-compare", "--p", "0.4", "--n", "10", "--t", "0.2",
+                      "--replicas", "30"],
+}
+DRAW_SHA256 = {
+    ("rw-bound-pm1", 17): (
+        "f6cdcda830736088ba31350caccfc309f941d6a4076ea401228d851938ad08e0",
+        "1a2251c99bc8445ac1382b14b552f79550b2c1a376d9f399b1a19713021f8cf9"),
+    ("rw-bound-pm1", 404): (
+        "70854c12c9f95614964a9ee3ca9d73ff2bfdb5630582c2d09a3effedb783c1e6",
+        "7a5f2ba3a3907cdcfcd75d6de91d1a592bee09c4be2d8c84d2f6ead6537e7226"),
+    ("rw-bound-pm1", 65537): (
+        "c45ed0fc388c1f30acb16aea9bf68fd393bc4882c598d88c539d064a01f7ec12",
+        "62b5bcc95242911f4ceee918883dd7401cb17283fc7c99241d1816d38cf200d5"),
+    ("rw-bound-m2-0-3", 17): (
+        "62c5eb0b436d5572097e6a7702bdf013da93d5fa8963508a7a64fe8091494579",
+        "432b15672c46a0b95f64aa2045c4895e4d74e35a7254dd0e48d6014e56928ab5"),
+    ("rw-bound-m2-0-3", 404): (
+        "6e912aa314c05bcbe0e2e25b234c4d70882b45b2b05c40c7c8e29ceb392846a3",
+        "f525b3a8ef9a315cc84a8a9cfab27a2b98485693888c6deff928c453fda309e6"),
+    ("rw-bound-m2-0-3", 65537): (
+        "0085cf82a80d8778b389085f76a4216fc3a31b56af5a94ac2c3817a0ebf6926c",
+        "ac76208f2a299f49d75e4784deb4ef3ef78af682ae8aa72234d638acad434bc6"),
+    ("corr-decay-bit", 17): (
+        "8be855efa369bcc1488db076cc3fbd4c8921d5d9ffb5df8a3b1655b4210e7550",
+        "7165b3d4e858d0a823f13bfe2f33fda940f860f25f65e52046bf8ee502c2643c"),
+    ("corr-decay-bit", 404): (
+        "4b573474f4a89685b11000aecedef1b7e8be95841222e6de44cdae488bb2775f",
+        "b8a781582d3ac7735f2a95eb618c7b8cf5f3fed8f8699602e46a936417e019c4"),
+    ("corr-decay-bit", 65537): (
+        "6e25a03c167d9caf760d618fd6c912ac8ac5964b73dfe67cad79967b8e055b05",
+        "28b691f8afa0edcbb2bdbd6efe776dedc6855b32c16e6e4b14229d25983c9e13"),
+    ("corr-decay-site", 17): (
+        "a52fa40e479506a1f2ec7d1583daa3d692e777c2d3f6110207c1d61221b35efb",
+        "f278ca037a8fbc7760c508a7076373fc93451808c4e10238db52c587d039029b"),
+    ("corr-decay-site", 404): (
+        "99bdd722680c78180c0fdee6886093cb1ef3f41c560d78fdbe77892acc46a9e3",
+        "447a9bcf43e383d36df979a4e20d489b4d96c2ab42c2ea5d17c6f0c2d95292fa"),
+    ("corr-decay-site", 65537): (
+        "3a980fcd3f2094efac4ab23dda21bca7361217723c927f9822d3ce8273e47504",
+        "9288dcf78eb10dbbcfbf66fef520a7505e0824b3737b3430790b360a35060cfd"),
+    ("noise-compare", 17): (
+        "7bf21f4325e1b019c8eb33cdcd8ee95517b3e7947a7d55c06863188b8fd9f030",
+        "9a65ff8cde24af8a442a415476ae5fbb831899bbb5e7a516821a3a6ace77200c"),
+    ("noise-compare", 404): (
+        "6ab77207428db7cb396a41c0ed4cb64818607b5de785b3a55e01acf300f0d8b7",
+        "e802e789983be20d65e5d07b2b0f5594935589501d4a9895edf88d28eb7a0458"),
+    ("noise-compare", 65537): (
+        "b866ea09b875b8a6b783b3a17642b2967a63345b58dadeb62065b81b7d65dd39",
+        "ff5ae8578b84a5fee587368755798d5ea89849045e90c5e7ba3a7bf7167a7879"),
+}
+
+
+@pytest.mark.parametrize("config,seed", sorted(DRAW_SHA256))
+def test_draw_experiment_bytes_are_pinned(tmp_path, config, seed):
+    args = DRAW_COMMANDS[config]
+    res = _invoke([*args, "--seed", str(seed), "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    stem = args[0].replace("-", "_")
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in (f"{stem}.csv", f"{stem}_summary.json"))
+    assert got == DRAW_SHA256[config, seed]
+
+
 def test_stationary_checks_pass(tmp_path):
     res = _invoke(["stationary-checks", "--p", "0.5", "--lam", "0.5",
                    "--rows", "30", "--cols", "30", "--gof-samples", "2000",

@@ -27,7 +27,7 @@ from lppnoise.lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
                               weights)
 from lppnoise.lpp import (backward_table, forward_table, geodesic_report,
                           travel_time)
-from lppnoise.rng import Stream, derive_seed, uniform_array
+from lppnoise.rng import Stream, derive_seed, hash_array, uniform_array
 from lppnoise.stationary import lambda_params
 
 
@@ -477,13 +477,13 @@ def test_rw_early_exit_draw_budget_and_keys(monkeypatch):
     spec = walk_spec((-1, 1), (0.475, 0.525))
     calls = []
 
-    def recording_uniform(seed, tag, sx, sy, index):
-        u = uniform_array(seed, tag, sx, sy, index)
+    def recording_hash(seed, tag, sx, sy, index):
+        h = hash_array(seed, tag, sx, sy, index)
         calls.append(np.broadcast_arrays(sx, sy))
-        return u
+        return h
 
     monkeypatch.setattr(estimators, "_WALK_DRAW_BUDGET", 1000)
-    monkeypatch.setattr(estimators, "uniform_array", recording_uniform)
+    monkeypatch.setattr(estimators, "hash_array", recording_hash)
     rep = rw_nonneg_bound(spec, 777, replicas=2500, seed=5)
     assert rep.q_hat == fraction_estimate(
         _rw_hits_full_matrix(spec, 777, 2500, 5), 2500)
@@ -498,16 +498,46 @@ def test_rw_early_exit_draw_budget_and_keys(monkeypatch):
 @pytest.mark.parametrize("values,probs", [((1, 0, -1), (0.7, 0.2, 0.1)),
                                           (tuple(range(-4, 6)), (0.1,) * 10)])
 def test_rw_step_lookup_at_largest_uniform(monkeypatch, values, probs):
-    """The probabilities sum to 1 - 2**-53, the largest uniform."""
+    """The probabilities sum to 1 - 2**-53, the uniform of the largest
+    hash 2**64 - 1."""
     spec = walk_spec(values, probs)
     assert np.cumsum(probs)[-1] <= np.nextafter(1.0, 0.0)
     monkeypatch.setattr(
-        estimators, "uniform_array",
+        estimators, "hash_array",
         lambda seed, tag, sx, sy, index: np.full(
-            np.broadcast(sx, sy).shape, np.nextafter(1.0, 0.0)))
+            np.broadcast(sx, sy).shape, 2 ** 64 - 1, dtype=np.uint64))
     rep = rw_nonneg_bound(spec, 20, replicas=10, seed=1)
     # every step takes the last value of the law
     assert rep.q_hat.estimate == (1.0 if values[-1] >= 0 else 0.0)
+
+
+@pytest.mark.parametrize("values,probs", [((-2, 0, 3), (0.35, 0.3, 0.35)),
+                                          ((-1, 2, 5), (0.0, 0.6, 0.4)),
+                                          ((1, 0, -1), (0.7, 0.2, 0.1))])
+def test_rw_steps_at_the_cut_bounds_match_the_float_search(
+        monkeypatch, values, probs):
+    """Every step hash sits at a cut bound, one off it, or at 0 or
+    2**64 - 1; the walks see the values of the float search."""
+    spec = walk_spec(values, probs)
+    cuts = np.cumsum(probs)[:-1]
+    edges = np.array(sorted({min(max((int(np.ceil(c * 2.0 ** 53)) << 11) + d,
+                                     0), 2 ** 64 - 1)
+                             for c in cuts for d in (-1, 0, 1)}
+                            | {0, 2 ** 64 - 1}), dtype=np.uint64)
+
+    def edge_hash(seed, tag, sx, sy, index):
+        w, k = np.broadcast_arrays(sx, sy)
+        return edges[(3 * w + 5 * k + w * k) % edges.size]
+
+    monkeypatch.setattr(estimators, "hash_array", edge_hash)
+    n_steps, replicas = 30, 200
+    h = edge_hash(1, None, np.arange(replicas)[:, None],
+                  np.arange(n_steps)[None, :], 0)
+    steps = np.array(values)[np.searchsorted(
+        cuts, (h >> np.uint64(11)) * 2.0 ** -53, side="right")]
+    hits = int((np.cumsum(steps, axis=1) >= 0).all(axis=1).sum())
+    rep = rw_nonneg_bound(spec, n_steps, replicas, seed=1)
+    assert rep.q_hat == fraction_estimate(hits, replicas)
 
 
 # --------------------------------------------- resampling covariance, exact

@@ -4,7 +4,8 @@ The oracles below regenerate every bit, clock and replacement bit
 directly from the full-key rng API (``uniform_array``, and
 ``exponential_array`` below on top of it) and decode weights with plain
 Python loops or one member at a time, so they share no code path with
-the fused, prefix-hashed scan.  The alive-set scan at the end, which
+the fused, prefix-hashed scan; their clocks are the float draws
+``-log(1 - U)``, which the scan decides on the hash.  The alive-set scan at the end, which
 the compressed scan replaced, is kept as a reference for whole fields.
 """
 
@@ -16,18 +17,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lppnoise import lattice
+from lppnoise import lattice, rng
 from lppnoise.lattice import (NoiseKind, Rect, RngIntegrityError,
                               WeightConfig, coupled_cap, coupled_group,
                               noisy_group, noisy_stack, replica_groups,
                               scan_cap, site_bits, weight_group, weights)
-from lppnoise.rng import (Stream, bernoulli_at, exponential_at, key_prefix,
-                          uniform_array)
+from lppnoise.rng import Stream, bernoulli_at, key_prefix, uniform_array
 
 
 def exponential_array(seed, tag, sx, sy, index):
     """Exp(1) variates ``-log(1 - U)`` read from the full keys."""
     return -np.log1p(-uniform_array(seed, tag, sx, sy, index))
+
+
+def exponential_at(prefix, index):
+    """Exp(1) variates ``-log(1 - U)`` of the keys ``prefix`` + ``index``."""
+    return -np.log1p(-rng._unit(rng._absorb(prefix, index)))
 
 
 def _oracle_weight(cfg, x, y, t=0.0, kind=None):

@@ -6,11 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppnoise import rng
-from lppnoise.rng import (Stream, bernoulli_at, derive_seed, exponential_at,
-                          geometric_array, key_prefix, uniform_array,
-                          uniform_at)
+from lppnoise.rng import (Stream, bernoulli_at, derive_seed, geometric_array,
+                          hash_cuts, key_prefix, rings_at, uniform_array)
 
 _M64 = (1 << 64) - 1
+
+
+def uniform_at(prefix, index):
+    """Uniform[0, 1) variates of the keys ``prefix`` + ``index``."""
+    return rng._unit(rng._absorb(prefix, index))
+
+
+def exponential_at(prefix, index):
+    """Exp(1) variates ``-log(1 - U)`` of the keys ``prefix`` + ``index``:
+    the float clocks that ``rings_at`` decides on the hash."""
+    return -np.log1p(-uniform_at(prefix, index))
 
 
 def _mix_py(z):
@@ -128,9 +138,9 @@ def test_streams_are_pairwise_decorrelated():
 def test_hash_known_answers():
     # values of the released hash chain; any change breaks every CSV
     assert derive_seed(3, Stream.REPLICA, 5) == 10496482278734730995
-    assert int(rng._hash_key(7, int(Stream.BIT_X), -4, 9, 12)) == \
+    assert int(rng.hash_array(7, int(Stream.BIT_X), -4, 9, 12)) == \
         12018293195108961457
-    assert int(rng._hash_key(2 ** 64 - 1, int(Stream.CLOCK_U), 2 ** 40,
+    assert int(rng.hash_array(2 ** 64 - 1, int(Stream.CLOCK_U), 2 ** 40,
                              -2 ** 40, 10 ** 6)) == 12966017618018683696
 
 
@@ -191,3 +201,101 @@ def test_bernoulli_at_equals_uniform_below_p(p, offset, seed):
                   for r in (-1, 0, 1, 2047)], dtype=np.uint64)
     assert np.array_equal(rng._below(h, p),
                           (h >> np.uint64(11)) * 2.0 ** -53 < p)
+
+
+def _normalized(weights):
+    w = np.array(weights, dtype=float)
+    return tuple(w / w.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(probs=st.one_of(
+           st.lists(st.integers(0, 20), min_size=1, max_size=8)
+           .filter(any).map(_normalized),
+           st.sampled_from([(0.0, 0.5, 0.5), (0.0, 0.0, 1.0), (0.5, 0.5),
+                            (0.7, 0.2, 0.1), (0.1,) * 10, (1.0,)])),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_hash_step_index_equals_float_search(probs, seed):
+    """The number of cut bounds a hash reaches is the float inversion
+    index, on random hashes, on hashes next to every bound, and on the
+    least and largest hash; (0.7, 0.2, 0.1) and (0.1,) * 10 sum to
+    1 - 2**-53, and a law may start with a zero probability."""
+    cuts = np.cumsum(probs)[:-1]
+    edges = [min(max(rng._cut(c) + d, 0), _M64)
+             for c in cuts for d in (-1, 0, 1)]
+    h = np.concatenate([
+        rng._absorb(key_prefix(seed, Stream.GENERIC, np.arange(256), 0), 0),
+        np.array(edges + [0, _M64], dtype=np.uint64)])
+    index = (h[:, None] >= hash_cuts(cuts)[None, :]).sum(axis=1)
+    assert np.array_equal(
+        index, np.searchsorted(cuts, (h >> np.uint64(11)) * 2.0 ** -53,
+                               side="right"))
+
+
+_TIMES = [0.0, 5e-324, 1e-300, 0.25, 1.0, 4.0, 36.7, 37.0, 1e300]
+
+
+def _float_rings(clock, t):
+    # a clock rings by time t > 0 iff it is <= t; none rings by time 0
+    return clock <= (t if t > 0.0 else -np.inf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.sampled_from(_TIMES), seed=st.integers(0, 2 ** 64 - 1),
+       index=st.integers(0, 200))
+def test_rings_at_equals_float_clock(t, seed, index):
+    prefix = key_prefix(seed, Stream.CLOCK_U, np.arange(512), 0)
+    (rung,) = rings_at(prefix, index, (t,))
+    assert np.array_equal(rung, _float_rings(exponential_at(prefix, index), t))
+
+
+@pytest.mark.parametrize("t", _TIMES)
+def test_ring_bound_is_exact_in_its_checked_window(t):
+    b = rng._ring_bound(t)
+    k_max = (b >> 11) - 1           # -1 where nothing rings
+    assert b % 2048 == 0 and (b == 0) == (t == 0.0)
+    assert (b == 2 ** 64) == (t >= rng._clock(2 ** 53 - 1))
+    ks = np.arange(max(k_max - rng._RING_WINDOW, 0),
+                   min(k_max + rng._RING_WINDOW, 2 ** 53 - 1) + 1,
+                   dtype=np.uint64)
+    for low in (0, 1, 2047):
+        h = (ks << np.uint64(11)) | np.uint64(low)
+        clock = -np.log1p(-((h >> np.uint64(11)) * 2.0 ** -53))
+        assert np.array_equal([int(x) < b for x in h], _float_rings(clock, t))
+
+
+def test_rings_at_reads_each_time_on_its_own_row():
+    prefix = key_prefix(5, Stream.SITE_CLOCK, np.arange(6)[:, None],
+                        np.arange(7)[None, :])
+    rung = rings_at(prefix, 0, tuple(_TIMES))
+    assert rung.shape == (len(_TIMES), 6, 7)
+    for row, t in zip(rung, _TIMES):
+        assert np.array_equal(row, _float_rings(exponential_at(prefix, 0), t))
+    assert not rung[0].any() and rung[-1].all()
+
+
+def test_ring_bound_refuses_a_clock_out_of_order(monkeypatch):
+    exact = rng._clock
+
+    def bent(k):
+        # one clock past K drops below t: the window check must see it
+        c = exact(k)
+        if c.ndim:
+            c[-2] = 0.0
+        return c
+
+    monkeypatch.setattr(rng, "_clock", bent)
+    with pytest.raises(ArithmeticError, match="t=1.0"):
+        rng._ring_bound.__wrapped__(1.0)
+
+
+def test_rings_at_rings_the_largest_hash_once_every_clock_has_rung(
+        monkeypatch):
+    # the bound 2**64 of such times does not fit a uint64
+    h = np.array([0, 2047, 2048, _M64 - 2048, _M64], dtype=np.uint64)
+    monkeypatch.setattr(rng, "_absorb", lambda prefix, index: h.copy())
+    rung = rings_at(None, 0, (0.0, 5e-324, 36.7, 37.0, 1e300))
+    clock = -np.log1p(-((h >> np.uint64(11)) * 2.0 ** -53))
+    assert np.array_equal(rung[1:], clock <= np.array([[5e-324], [36.7],
+                                                       [37.0], [1e300]]))
+    assert not rung[0].any() and rung[3:].all() and not rung[2, -1]
