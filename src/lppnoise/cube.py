@@ -40,9 +40,6 @@ __all__ = [
     "CubeFunction",
     "cube_function",
     "expectation",
-    "variance",
-    "semigroup_apply",
-    "difference_op",
     "influence",
     "noisy_covariance",
     "rho",
@@ -52,12 +49,9 @@ __all__ = [
     "verify_bks",
     "CheckResult",
     "verify_lemma_suite",
-    "integral_formula_check",
     "geometric_lsi_terms",
     "geometric_lsi_ratio",
     "random_normal_function",
-    "random_monotone_function",
-    "random_junta",
 ]
 
 MAX_M = 20
@@ -113,10 +107,6 @@ def _variance(f: CubeFunction, mu: float) -> float:
     return _expect_values((f.values - mu) ** 2, f.m, f.p)
 
 
-def variance(f: CubeFunction) -> float:
-    return _variance(f, expectation(f))
-
-
 def _apply_values(vals: np.ndarray, m: int, p: float, t: float) -> np.ndarray:
     decay = math.exp(-t)
     w = np.array([1.0 - p, p])
@@ -127,25 +117,11 @@ def _apply_values(vals: np.ndarray, m: int, p: float, t: float) -> np.ndarray:
     return out
 
 
-def semigroup_apply(f: CubeFunction, t: float) -> CubeFunction:
-    """P_t f, one kernel contraction per coordinate."""
-    if t < 0.0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    return cube_function(f.m, f.p, _apply_values(f.values, f.m, f.p, t))
-
-
 def _grad_values(vals: np.ndarray, m: int, p: float, i: int) -> np.ndarray:
     f1 = np.take(vals, 1, axis=i)
     f0 = np.take(vals, 0, axis=i)
     d = f1 - f0
     return np.stack([p * d, (p - 1.0) * d], axis=i)
-
-
-def difference_op(f: CubeFunction, i: int) -> CubeFunction:
-    """grad_i f = (p - x_i)(f after setting x_i = 1 minus x_i = 0)."""
-    if not 0 <= i < f.m:
-        raise ValueError(f"coordinate {i} out of range for m={f.m}")
-    return cube_function(f.m, f.p, _grad_values(f.values, f.m, f.p, i))
 
 
 def _influences(f: CubeFunction, axes) -> list[float]:
@@ -339,25 +315,6 @@ def verify_lemma_suite(f: CubeFunction, g: CubeFunction, t: float,
     return checks
 
 
-def integral_formula_check(f: CubeFunction):
-    """Var(f) = 2 * int_0^inf sum_i E[(P_s grad_i f)^2] ds by quadrature,
-    to a relative error of 1e-6."""
-    from scipy import integrate
-
-    m, p = f.m, f.p
-    grads = [_grad_values(f.values, m, p, i) for i in range(m)]
-
-    def integrand(s: float) -> float:
-        return math.fsum(_expect_values(_apply_values(gr, m, p, s) ** 2, m, p)
-                         for gr in grads)
-
-    val, _err = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0,
-                               epsrel=1e-9, limit=200)
-    var = variance(f)
-    rel_err = abs(2.0 * val - var) / var if var > 0 else abs(2.0 * val)
-    return var, 2.0 * val, rel_err, rel_err <= 1e-6
-
-
 def geometric_lsi_terms(p: float, u: float) -> tuple[float, float]:
     """Closed forms of Ent(f_u^2) and Var(f_u) for the witness family
     f_u(k) = ((1-u)/(1-p))^(k/2) on the Geom(p) line."""
@@ -380,27 +337,3 @@ def geometric_lsi_ratio(p: float, u: float) -> float:
 def random_normal_function(m: int, p: float,
                            rng: np.random.Generator) -> CubeFunction:
     return cube_function(m, p, rng.standard_normal(2 ** m))
-
-
-def random_monotone_function(m: int, p: float,
-                             rng: np.random.Generator) -> CubeFunction:
-    """Random weighted threshold indicator (monotone in every bit)."""
-    w = rng.exponential(size=m)
-    theta = float(rng.uniform(0.0, w.sum()))
-    vals = np.zeros((2,) * m)
-    for idx in np.ndindex(*vals.shape):
-        vals[idx] = 1.0 if float(np.dot(w, idx)) >= theta else 0.0
-    return cube_function(m, p, vals)
-
-
-def random_junta(m: int, p: float, k: int,
-                 rng: np.random.Generator) -> CubeFunction:
-    """Function of k randomly chosen coordinates."""
-    if not 1 <= k <= m:
-        raise ValueError(f"junta size {k} out of range for m={m}")
-    coords = rng.choice(m, size=k, replace=False)
-    table = rng.standard_normal((2,) * k)
-    vals = np.zeros((2,) * m)
-    for idx in np.ndindex(*vals.shape):
-        vals[idx] = table[tuple(idx[c] for c in coords)]
-    return cube_function(m, p, vals)

@@ -24,7 +24,7 @@ from .lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
                       scan_cap, site_bits, weight_group, weights)
 from .lpp import (backward_table, forward_table, geodesic_mask, last_row,
                   travel_time, upmost_span)
-from .rng import Stream, derive_seed, hash_array, hash_cuts, uniform_array
+from .rng import Stream, derive_seed, hash_array, hash_cuts
 from .stationary import _boundary_grid, lambda_params
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "mean_estimate",
     "fraction_estimate",
     "pearson_estimate",
-    "pearson_ci_calibration",
     "CorrDecayResult",
     "corr_decay",
     "corr_difference_ci",
@@ -54,7 +53,6 @@ __all__ = [
     "rw_nonneg_bound",
     "SandwichReport",
     "sandwich_experiment",
-    "bit_influence_on_Tn",
     "VisitInfluenceRow",
     "visit_vs_influence",
     "resample_covariance_exact",
@@ -124,25 +122,6 @@ def pearson_estimate(x: np.ndarray, y: np.ndarray) -> EstimateWithCI:
     return EstimateWithCI(r, float(se * (1 - r * r)),
                           float(np.tanh(z - _Z95 * se)),
                           float(np.tanh(z + _Z95 * se)), n)
-
-
-def pearson_ci_calibration(rho: float, n_pairs: int, trials: int,
-                           seed: int) -> int:
-    """Count of Fisher-z CIs covering a known correlation on synthetic
-    bivariate normal data (keyed Box-Muller draws)."""
-    covered = 0
-    c = np.sqrt(1.0 - rho * rho)
-    for trial in range(trials):
-        sub = derive_seed(seed, Stream.GENERIC, trial)
-        idx = np.arange(n_pairs, dtype=np.int64)
-        u1 = uniform_array(sub, Stream.GENERIC, idx, 0, 0)
-        u2 = uniform_array(sub, Stream.GENERIC, idx, 1, 0)
-        rad = np.sqrt(-2.0 * np.log1p(-u1))
-        z1 = rad * np.cos(2.0 * np.pi * u2)
-        z2 = rad * np.sin(2.0 * np.pi * u2)
-        est = pearson_estimate(z1, rho * z1 + c * z2)
-        covered += est.ci_low <= rho <= est.ci_high
-    return covered
 
 
 # The most resampled indices one bootstrap chunk holds (2**12 int64
@@ -236,10 +215,13 @@ def _corr_diff(base, a, b, idx) -> np.ndarray:
 
 def _boot_estimate(point: float, boots: np.ndarray,
                    samples: int) -> EstimateWithCI:
-    """``point`` with the bootstrap standard error and percentile CI."""
+    """``point`` with the bootstrap standard error and percentile CI.
+    A NaN bootstrap value (a constant resample has no correlation) makes
+    the CI NaN, and the estimate is flagged degenerate."""
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return EstimateWithCI(point, float(boots.std(ddof=1)), float(lo),
-                          float(hi), samples)
+                          float(hi), samples,
+                          degenerate=bool(np.isnan(boots).any()))
 
 
 def corr_difference_ci(res: CorrDecayResult, k: int, l: int,
@@ -747,22 +729,6 @@ def _influence_rows(p: float, n: int, v_list, i_max: int, replicas: int,
         visits.append(hit)
     # (replicas, sites, bits) and (replicas, sites)
     return np.concatenate(samples), np.concatenate(visits)
-
-
-def bit_influence_on_Tn(p: float, n: int, v: tuple[int, int], i: int,
-                        replicas: int, seed: int) -> EstimateWithCI:
-    """Influence of encoding bit (v, i) on T_n: E|E_xi[T_n o sigma] - T_n|.
-
-    The inner expectation over the forced bit is computed exactly from
-    the two flipped travel times; only the field is sampled.  A site
-    outside the rectangle has exact influence 0.
-    """
-    if i < 0:
-        raise ValueError(f"bit index must be >= 0, got {i}")
-    if not _square(n).contains(v):
-        return EstimateWithCI(0.0, 0.0, 0.0, 0.0, replicas)
-    samples, _ = _influence_rows(p, n, [v], i, replicas, seed)
-    return mean_estimate(samples[:, 0, i])
 
 
 @dataclass(frozen=True)

@@ -118,9 +118,8 @@ class Rect:
 
     def coord_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Absolute coordinates of all sites, shaped like the field array."""
-        xs = np.arange(self.lo[0], self.hi[0] + 1, dtype=np.int64)
-        ys = np.arange(self.lo[1], self.hi[1] + 1, dtype=np.int64)
-        return np.meshgrid(xs, ys, indexing="ij")
+        xs, ys = _open_grid(self)
+        return np.meshgrid(xs.ravel(), ys.ravel(), indexing="ij")
 
 
 @dataclass(frozen=True)

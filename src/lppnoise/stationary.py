@@ -42,13 +42,11 @@ __all__ = [
     "lambda_params",
     "StationaryField",
     "build_stationary",
-    "stationary_travel_time",
     "lambda_geodesic_report",
     "ExitTimes",
     "exit_times",
     "CoupledColumns",
     "couple_columns",
-    "shape_function",
     "geometric_gof_pvalue",
 ]
 
@@ -93,26 +91,25 @@ def lambda_params(p: float, lam: float) -> LambdaParams:
 
 @dataclass(frozen=True)
 class StationaryField:
-    """Quarter-plane construction on ``base + [0..m1] x [0..m2]``.
+    """Quarter-plane construction on ``[0..m1] x [0..m2]``.
 
-    ``grid[i, j]`` is the modified weight at site ``base + (i, j)``
-    (corner 0, boundary rows, bulk); ``G`` its forward passage table.
+    ``grid[i, j]`` is the modified weight at site ``(i, j)`` (corner 0,
+    boundary rows, bulk); ``G`` its forward passage table.
     """
 
     params: LambdaParams
-    base: tuple[int, int]
     extent: tuple[int, int]
     grid: np.ndarray
     G: np.ndarray
 
     def increments_h(self) -> np.ndarray:
         """omega^H over the grid; entry [i-1, j] is the increment at
-        base + (i, j), i >= 1."""
+        (i, j), i >= 1."""
         return np.diff(self.G, axis=0)
 
     def increments_v(self) -> np.ndarray:
         """omega^V over the grid; entry [i, j-1] is the increment at
-        base + (i, j), j >= 1."""
+        (i, j), j >= 1."""
         return np.diff(self.G, axis=1)
 
     def domination_holds(self) -> bool:
@@ -127,7 +124,12 @@ class StationaryField:
 def _boundary_grid(params: LambdaParams, extent: tuple[int, int], seed: int,
                    base: tuple[int, int] = (0, 0),
                    bulk: np.ndarray | None = None) -> np.ndarray:
-    """The modified weights of ``build_stationary``'s grid, without the DP."""
+    """The modified weights of ``build_stationary``'s grid, without the DP,
+    with its corner at ``base``.  Boundary weights come from the seed's
+    BOUNDARY_V stream at the absolute boundary sites.  ``bulk``, when
+    given, is a grid-shaped array whose interior supplies the bulk (its
+    row 0 and column 0 are ignored): so grids of distinct seeds share
+    one bulk and have independent boundaries."""
     m1, m2 = extent
     if m1 < 0 or m2 < 0:
         raise ValueError(f"extent must be nonnegative, got {extent}")
@@ -154,44 +156,22 @@ def _boundary_grid(params: LambdaParams, extent: tuple[int, int], seed: int,
     return grid
 
 
-def build_stationary(p: float, lam: float, extent: tuple[int, int], seed: int,
-                     base: tuple[int, int] = (0, 0),
-                     bulk: np.ndarray | None = None) -> StationaryField:
+def build_stationary(p: float, lam: float, extent: tuple[int, int],
+                     seed: int) -> StationaryField:
     """Sample boundary weights, fill the bulk, and run the passage DP.
 
-    ``bulk``, when given, must be a ``(m1+1, m2+1)`` array aligned with
-    the grid whose interior entries supply the bulk weights (its row 0
-    and column 0 are ignored); this is how a stationary field shares
-    randomness with a plain field over the same rectangle.  Boundary
-    weights always come from the seed's BOUNDARY_V stream at the
-    absolute boundary sites, so distinct seeds give independent
-    boundaries over a common bulk.
+    Boundary weights come from the seed's BOUNDARY_V stream and the bulk
+    from the plain field of the same seed over ``[1..m1] x [1..m2]``.
     """
     params = lambda_params(p, lam)
-    grid = _boundary_grid(params, extent, seed, base, bulk)
-    return StationaryField(params=params, base=base,
-                           extent=(extent[0], extent[1]), grid=grid,
-                           G=forward_table(grid))
+    grid = _boundary_grid(params, extent, seed)
+    return StationaryField(params=params, extent=(extent[0], extent[1]),
+                           grid=grid, G=forward_table(grid))
 
 
 def _check_in_grid(sf: StationaryField, x: tuple[int, int], name: str) -> None:
     if not (0 <= x[0] <= sf.extent[0] and 0 <= x[1] <= sf.extent[1]):
         raise ValueError(f"{name}={x} outside grid extent {sf.extent}")
-
-
-def stationary_travel_time(sf: StationaryField, x: tuple[int, int],
-                           y: tuple[int, int]) -> int:
-    """T(lam; x, y) = G(y) - G(x) for grid-relative x <= y.
-
-    Increment additivity T(x,z) = T(x,y) + T(y,z) is immediate in this
-    form; the content is that the difference also equals the direct
-    boundary DP from x (see lambda_geodesic_report).
-    """
-    _check_in_grid(sf, x, "x")
-    _check_in_grid(sf, y, "y")
-    if not (x[0] <= y[0] and x[1] <= y[1]):
-        raise ValueError(f"need x <= y componentwise, got {x}, {y}")
-    return int(sf.G[y] - sf.G[x])
 
 
 def _relative_weights(sf: StationaryField, x: tuple[int, int],
@@ -310,17 +290,6 @@ def couple_columns(p: float, lam: float, lam_p: float, customers: int,
     return CoupledColumns(p=p, lam=lam, lam_p=lam_p, service=service,
                           arrival=arrival, departure=departure,
                           burn_in=burn_in, stationarity_z=z)
-
-
-def shape_function(p: float, x: tuple[float, float]) -> float:
-    """Limit shape psi(x) = [(1-p)(x1+x2) + 2 sqrt((1-p) x1 x2)] / p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    x1, x2 = x
-    if x1 < 0 or x2 < 0:
-        raise ValueError(f"direction must be nonnegative, got {x}")
-    r = 1.0 - p
-    return (r * (x1 + x2) + 2.0 * np.sqrt(r * x1 * x2)) / p
 
 
 def geometric_gof_pvalue(samples: np.ndarray, q: float) -> float:

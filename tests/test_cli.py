@@ -1,5 +1,6 @@
 """Command-line layer: validation, exit codes, files, reproducibility."""
 
+import ast
 import hashlib
 import importlib.metadata
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import csv
 import importlib
+import inspect
 import io
 
 import numpy as np
@@ -64,12 +66,35 @@ def test_version_flag():
     assert res.exit_code == 0
 
 
-@pytest.mark.parametrize("module", ["cube", "estimators", "lattice", "lpp",
-                                    "manifest", "rng", "stationary"])
+LIBRARY_MODULES = ["cube", "estimators", "lattice", "lpp", "manifest", "rng",
+                   "stationary"]
+
+
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
 def test_public_names_resolve(module):
     mod = importlib.import_module(f"lppnoise.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
+def test_library_functions_have_a_caller(module):
+    # a public function that no library module and no acceptance
+    # criterion reads belongs in the unit tests that call it
+    tests = Path(__file__).parent
+    read = set()
+    for path in [*(tests.parent / "src" / "lppnoise").glob("*.py"),
+                 tests / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    mod = importlib.import_module(f"lppnoise.{module}")
+    functions = {name for name in mod.__all__
+                 if inspect.isfunction(getattr(mod, name))}
+    assert functions
+    assert not sorted(functions - read)
 
 
 def test_corr_decay_writes_csv_and_summary(tmp_path):
@@ -429,6 +454,23 @@ def test_noise_compare_t0(tmp_path):
     assert res.exit_code == 0
     text = (tmp_path / "noise_compare.csv").read_text()
     assert text.splitlines()[0] == "metric,value"
+
+
+def test_noise_compare_nan_bootstrap_ci_is_degenerate(tmp_path):
+    # at p near 1 nearly every travel time is 0, so some resamples are
+    # constant; their correlations, and with them the bootstrap CI, are NaN
+    res = _invoke(["noise-compare", "--p", "0.999", "--n", "3", "--t", "0.5",
+                   "--replicas", "30", "--seed", "1", "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    rows = dict(ln.split(",") for ln in
+                (tmp_path / "noise_compare.csv").read_text().splitlines())
+    assert rows["corr_diff_ci_low"] == rows["corr_diff_ci_high"] == "nan"
+    summary = json.loads(
+        (tmp_path / "noise_compare_summary.json").read_text())
+    diff = summary["corr_diff"]
+    assert diff["degenerate"] is True
+    assert all(math.isnan(diff[k]) for k in ("stderr", "ci_low", "ci_high"))
+    assert summary["corr_bit_t"]["degenerate"] is False
 
 
 def test_bks_verify_cli(tmp_path):

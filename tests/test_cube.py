@@ -9,17 +9,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppnoise import cube
-from lppnoise.cube import (MAX_M, bks_params, cube_function, difference_op,
-                           expectation, geometric_lsi_ratio,
-                           geometric_lsi_terms, influence,
-                           integral_formula_check, noisy_covariance,
-                           random_junta, random_monotone_function,
-                           random_normal_function, rho, semigroup_apply,
-                           variance, verify_bks, verify_lemma_suite)
+from lppnoise.cube import (MAX_M, bks_params, cube_function, expectation,
+                           geometric_lsi_ratio, geometric_lsi_terms,
+                           influence, noisy_covariance, random_normal_function,
+                           rho, verify_bks, verify_lemma_suite)
 
 
 def _flat(f):
     return f.values.reshape(-1)
+
+
+def variance(f):
+    return cube._variance(f, expectation(f))
+
+
+def _apply(f, t):
+    return cube_function(f.m, f.p, cube._apply_values(f.values, f.m, f.p, t))
+
+
+def random_monotone_function(m, p, rng):
+    """Random weighted threshold indicator (monotone in every bit)."""
+    w = rng.exponential(size=m)
+    theta = float(rng.uniform(0.0, w.sum()))
+    vals = np.zeros((2,) * m)
+    for idx in np.ndindex(*vals.shape):
+        vals[idx] = 1.0 if float(np.dot(w, idx)) >= theta else 0.0
+    return cube_function(m, p, vals)
+
+
+def random_junta(m, p, k, rng):
+    """Function of k randomly chosen coordinates."""
+    if not 1 <= k <= m:
+        raise ValueError(f"junta size {k} out of range for m={m}")
+    coords = rng.choice(m, size=k, replace=False)
+    table = rng.standard_normal((2,) * k)
+    vals = np.zeros((2,) * m)
+    for idx in np.ndindex(*vals.shape):
+        vals[idx] = table[tuple(idx[c] for c in coords)]
+    return cube_function(m, p, vals)
 
 
 def _measure_vector(m, p):
@@ -79,7 +106,7 @@ def test_semigroup_matches_kronecker_kernel(t):
     m, p = 4, 0.35
     rng = np.random.default_rng(20250816)
     f = random_normal_function(m, p, rng)
-    got = _flat(semigroup_apply(f, t))
+    got = _flat(_apply(f, t))
     want = _kernel_matrix(m, p, t) @ _flat(f)
     assert np.allclose(got, want, atol=1e-12, rtol=0)
 
@@ -88,18 +115,18 @@ def test_semigroup_algebra():
     m, p = 6, 0.6
     rng = np.random.default_rng(20250817)
     f = random_normal_function(m, p, rng)
-    assert np.array_equal(semigroup_apply(f, 0.0).values, f.values)
-    ab = semigroup_apply(semigroup_apply(f, 0.4), 0.9)
-    once = semigroup_apply(f, 1.3)
+    assert np.array_equal(_apply(f, 0.0).values, f.values)
+    ab = _apply(_apply(f, 0.4), 0.9)
+    once = _apply(f, 1.3)
     assert np.allclose(ab.values, once.values, atol=1e-12)
     # constants are fixed points; long times flatten to the mean
     c = cube_function(m, p, np.full(2 ** m, 2.5))
-    assert np.allclose(semigroup_apply(c, 1.0).values, 2.5, atol=1e-14)
-    flat = semigroup_apply(f, 60.0)
+    assert np.allclose(_apply(c, 1.0).values, 2.5, atol=1e-14)
+    flat = _apply(f, 60.0)
     assert np.allclose(flat.values, expectation(f), atol=1e-10)
     assert variance(flat) <= 1e-15 * variance(f) + 1e-300
     with pytest.raises(ValueError):
-        semigroup_apply(f, -0.1)
+        noisy_covariance(f, f, -0.1)
 
 
 def test_difference_and_influence_against_explicit_loops():
@@ -107,7 +134,7 @@ def test_difference_and_influence_against_explicit_loops():
     rng = np.random.default_rng(20250818)
     f = random_normal_function(m, p, rng)
     for i in range(m):
-        g = difference_op(f, i)
+        grad = cube._grad_values(f.values, m, p, i)
         acc = 0.0
         for bits in itertools.product((0, 1), repeat=m):
             up = list(bits)
@@ -115,12 +142,12 @@ def test_difference_and_influence_against_explicit_loops():
             down = list(bits)
             down[i] = 0
             d = (p - bits[i]) * (f.values[tuple(up)] - f.values[tuple(down)])
-            assert g.values[bits] == pytest.approx(d, abs=1e-13)
+            assert grad[bits] == pytest.approx(d, abs=1e-13)
             w = np.prod([p if b else 1 - p for b in bits])
             acc += w * abs(d)
         assert influence(f, i) == pytest.approx(acc, abs=1e-12)
     with pytest.raises(ValueError):
-        difference_op(f, m)
+        influence(f, m)
     with pytest.raises(ValueError):
         influence(f, -1)
 
@@ -245,10 +272,19 @@ def test_lemma_suite_all_pass(p, t):
 def test_integral_formula():
     rng = np.random.default_rng(20250823)
     f = random_normal_function(5, 0.4, rng)
-    var, twice_integral, rel_err, ok = integral_formula_check(f)
-    assert ok and rel_err <= 1e-6
-    assert var == pytest.approx(variance(f), abs=1e-12)
-    assert twice_integral == pytest.approx(var, rel=1e-6)
+    from scipy import integrate
+
+    # Var(f) = 2 * int_0^inf sum_i E[(P_s grad_i f)^2] ds by quadrature
+    m, p = f.m, f.p
+    grads = [cube._grad_values(f.values, m, p, i) for i in range(m)]
+
+    def integrand(s):
+        return math.fsum(cube._expect_values(
+            cube._apply_values(gr, m, p, s) ** 2, m, p) for gr in grads)
+
+    val, _err = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0,
+                               epsrel=1e-9, limit=200)
+    assert 2.0 * val == pytest.approx(variance(f), rel=1e-6)
 
 
 def _lsi_series_oracle(p, u, kmax=20_000):

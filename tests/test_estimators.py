@@ -11,14 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lppnoise import estimators, lattice
-from lppnoise.estimators import (bit_influence_on_Tn, corr_decay,
+from lppnoise.estimators import (EstimateWithCI, corr_decay,
                                  corr_difference_ci,
                                  covariance_monotonicity_bruteforce,
                                  envelope_frequencies, fraction_estimate,
                                  geodesic_heatmap, mean_estimate,
-                                 noise_comparison, pearson_ci_calibration,
-                                 pearson_estimate, resample_covariance_exact,
-                                 rw_exact_nonneg, rw_nonneg_bound,
+                                 noise_comparison, pearson_estimate,
+                                 resample_covariance_exact, rw_exact_nonneg, rw_nonneg_bound,
                                  sandwich_experiment, transversal_exponent,
                                  variance_scaling, visit_vs_influence,
                                  walk_spec)
@@ -67,7 +66,21 @@ def test_pearson_estimate_paths():
 
 
 def test_pearson_ci_calibration():
-    covered = pearson_ci_calibration(0.5, n_pairs=200, trials=200, seed=5)
+    # Fisher-z CIs covering a known correlation on synthetic bivariate
+    # normal data (keyed Box-Muller draws)
+    rho, n_pairs, trials, seed = 0.5, 200, 200, 5
+    covered = 0
+    c = np.sqrt(1.0 - rho * rho)
+    idx = np.arange(n_pairs, dtype=np.int64)
+    for trial in range(trials):
+        sub = derive_seed(seed, Stream.GENERIC, trial)
+        u1 = uniform_array(sub, Stream.GENERIC, idx, 0, 0)
+        u2 = uniform_array(sub, Stream.GENERIC, idx, 1, 0)
+        rad = np.sqrt(-2.0 * np.log1p(-u1))
+        z1 = rad * np.cos(2.0 * np.pi * u2)
+        z2 = rad * np.sin(2.0 * np.pi * u2)
+        est = pearson_estimate(z1, rho * z1 + c * z2)
+        covered += est.ci_low <= rho <= est.ci_high
     assert 180 <= covered <= 200
 
 
@@ -612,6 +625,17 @@ def test_covariance_monotonicity_on_random_ternary_functions():
 
 
 # -------------------------------------------------- bit influences on T_n
+
+def bit_influence_on_Tn(p, n, v, i, replicas, seed):
+    """Influence of encoding bit (v, i) on T_n: E|E_xi[T_n o sigma] - T_n|;
+    a site outside the rectangle has exact influence 0."""
+    if i < 0:
+        raise ValueError(f"bit index must be >= 0, got {i}")
+    if not Rect((0, 0), (n, n)).contains(v):
+        return EstimateWithCI(0.0, 0.0, 0.0, 0.0, replicas)
+    samples, _ = estimators._influence_rows(p, n, [v], i, replicas, seed)
+    return mean_estimate(samples[:, 0, i])
+
 
 def _influence_oracle(p, n, v, i, replicas, seed):
     """Recompute the influence sample by substituting the enforced-bit

@@ -5,10 +5,30 @@ import pytest
 
 from lppnoise.lattice import Rect, WeightConfig, weights
 from lppnoise.rng import Stream, geometric_array
-from lppnoise.stationary import (build_stationary, couple_columns, exit_times,
+from lppnoise.stationary import (_boundary_grid, _check_in_grid,
+                                 build_stationary, couple_columns, exit_times,
                                  geometric_gof_pvalue, lambda_geodesic_report,
-                                 lambda_params, shape_function,
-                                 stationary_travel_time)
+                                 lambda_params)
+
+
+def stationary_travel_time(sf, x, y):
+    """T(lam; x, y) = G(y) - G(x) for grid-relative x <= y."""
+    _check_in_grid(sf, x, "x")
+    _check_in_grid(sf, y, "y")
+    if not (x[0] <= y[0] and x[1] <= y[1]):
+        raise ValueError(f"need x <= y componentwise, got {x}, {y}")
+    return int(sf.G[y] - sf.G[x])
+
+
+def shape_function(p, x):
+    """Limit shape psi(x) = [(1-p)(x1+x2) + 2 sqrt((1-p) x1 x2)] / p."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    x1, x2 = x
+    if x1 < 0 or x2 < 0:
+        raise ValueError(f"direction must be nonnegative, got {x}")
+    r = 1.0 - p
+    return (r * (x1 + x2) + 2.0 * np.sqrt(r * x1 * x2)) / p
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
@@ -87,12 +107,13 @@ def test_boundary_weights_and_bulk_sources():
 
 def test_shared_bulk_with_independent_boundaries():
     bulk = np.arange(49).reshape(7, 7) % 5
-    a = build_stationary(0.5, 0.5, (6, 6), seed=1, bulk=bulk)
-    b = build_stationary(0.5, 0.5, (6, 6), seed=2, bulk=bulk)
-    assert np.array_equal(a.grid[1:, 1:], b.grid[1:, 1:])
-    assert not np.array_equal(a.grid[:, 0], b.grid[:, 0])
+    par = lambda_params(0.5, 0.5)
+    a = _boundary_grid(par, (6, 6), 1, bulk=bulk)
+    b = _boundary_grid(par, (6, 6), 2, bulk=bulk)
+    assert np.array_equal(a[1:, 1:], b[1:, 1:])
+    assert not np.array_equal(a[:, 0], b[:, 0])
     with pytest.raises(ValueError):
-        build_stationary(0.5, 0.5, (6, 6), seed=1, bulk=np.zeros((3, 3)))
+        _boundary_grid(par, (6, 6), 1, bulk=np.zeros((3, 3)))
 
 
 def test_increment_marginals_by_gof():
