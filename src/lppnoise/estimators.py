@@ -4,11 +4,11 @@ Every experiment derives one sub-seed per replica from its master seed,
 so results are pure functions of ``(seed, parameters)``.  Paired
 designs (noise correlations across several times, coupled dynamics)
 reuse the same replica sub-seed so all coupling happens through the
-keyed randomness itself.  The lattice replica loops decode their fields
-in the groups of ``lattice.replica_groups`` and, where a few numbers
-per field are needed (a travel time, the transversal span, bit
-influences), run the DP on each group's stack; grouping changes no
-value.
+keyed randomness itself.  All lattice replica loops are one loop,
+``_per_group``: it cuts the sub-seeds into ``lattice.replica_groups``,
+decodes each group as one stack and reduces it to a few numbers per
+field (travel times, spans, geodesic visits, bit influences, sandwich
+bounds); grouping changes no value.
 """
 
 from __future__ import annotations
@@ -167,10 +167,17 @@ def _square(n: int) -> Rect:
     return Rect((0, 0), (n, n))
 
 
-def _replica_seeds(seed: int, first: int, count: int) -> list[int]:
-    """The sub-seeds of replicas ``first .. first + count - 1``."""
-    return [derive_seed(seed, Stream.REPLICA, r)
-            for r in range(first, first + count)]
+def _per_group(stat, p: float, region: Rect, seed: int, first: int,
+               count: int, decode=weight_group, *args):
+    """``stat(group, decode(p, group, region, *args))``, lazily, for each
+    ``replica_groups`` group of the ``count`` replicas from ``first`` on.
+    One region per call: the sandwich decodes its second one per replica."""
+    seeds = [derive_seed(seed, Stream.REPLICA, r)
+             for r in range(first, first + count)]
+    for group in replica_groups(seeds, region):
+        # stat runs here so a group's stack and temporaries are freed before
+        # the next decode; yielding stacks to a caller's loop raised peak RSS
+        yield stat(group, decode(p, group, region, *args))
 
 
 # ---------------------------------------------------------------- noise decay
@@ -259,15 +266,12 @@ def corr_decay(p: float, n: int, t_values, kind: NoiseKind, replicas: int,
 
     region = _square(n)
 
-    def group_rows(group) -> np.ndarray:
-        stack = noisy_group(p, group, region, times, kind)
+    def group_rows(_, stack) -> np.ndarray:
         tt = travel_time(stack.reshape((-1,) + region.shape))
-        return tt.reshape(times.size, -1).T[:, cols]
+        return tt.reshape(times.size, -1).T[:, cols].astype(np.float64)
 
-    seeds = _replica_seeds(seed, 0, replicas)
-    rows = np.concatenate([group_rows(group) for group
-                           in replica_groups(seeds, region)])
-    rows = rows.astype(np.float64)
+    rows = np.concatenate([*_per_group(group_rows, p, region, seed, 0,
+                                       replicas, noisy_group, times, kind)])
     ests = tuple(pearson_estimate(rows[:, 0], rows[:, 1 + k])
                  for k in range(len(t_values)))
     return CorrDecayResult(p, n, kind, t_values, ests, replicas, seed, rows)
@@ -298,14 +302,9 @@ def _scale_samples(p: float, n_list, replicas: int, seed: int, stack_stat):
                          f"scales, got {list(n_list)}")
     if replicas < 2:
         raise ValueError(f"need >= 2 replicas, got {replicas}")
-    samples = []
-    for pos, n in enumerate(n_list):
-        region = _square(n)
-        seeds = _replica_seeds(seed, pos * replicas, replicas)
-        samples.append(np.concatenate([
-            stack_stat(weight_group(p, group, region))
-            for group in replica_groups(seeds, region)]).astype(np.float64))
-    return n_list, samples
+    return n_list, [np.concatenate([*_per_group(
+        lambda _, w: stack_stat(w), p, _square(n), seed, pos * replicas,
+        replicas)]).astype(np.float64) for pos, n in enumerate(n_list)]
 
 
 def _bootstrap_slope(p: float, n_list: list[int], samples: list[np.ndarray],
@@ -372,10 +371,10 @@ def geodesic_heatmap(p: float, n: int, replicas: int,
     if replicas < 1:
         raise ValueError("need at least one replica")
 
-    region = _square(n)
     counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for group in replica_groups(_replica_seeds(seed, 0, replicas), region):
-        counts += sum(map(geodesic_mask, weight_group(p, group, region)))
+    for part in _per_group(lambda _, w: sum(map(geodesic_mask, w)), p,
+                           _square(n), seed, 0, replicas):
+        counts += part
     return HeatmapResult(p, n, replicas, counts, seed)
 
 
@@ -445,10 +444,9 @@ def envelope_frequencies(p: float, n: int, widths, replicas: int,
 
     # the widest margin on the geodesic set of each field; the mask holds
     # both corners, so it is never empty
-    region, tops = _square(n), []
-    for group in replica_groups(_replica_seeds(seed, 0, replicas), region):
-        tops.extend(margin[geodesic_mask(w)].max()
-                    for w in weight_group(p, group, region))
+    tops = np.concatenate([*_per_group(
+        lambda _, ws: [margin[geodesic_mask(w)].max() for w in ws], p,
+        _square(n), seed, 0, replicas)])
     return [(w, fraction_estimate(int(np.less_equal(tops, w).sum()), replicas))
             for w in widths]
 
@@ -630,13 +628,13 @@ def sandwich_experiment(p: float, v: tuple[int, int], s: float, replicas: int,
     shift = 8.0 * s * size ** (-1.0 / 3.0)
     lam_minus, lam_plus = 0.5 - shift, 0.5 + shift
     lam_hat_plus = 0.5 + 8.0 * s * (size - 1) ** (-1.0 / 3.0)
+    js = np.concatenate([np.arange(-k, 0), np.arange(1, k + 1)]) + v2 - 1
+    lo, hat = Rect((-v1, -v2), (0, k)), Rect((1, -k - 1), (w1 - 1, w2 - 1))
 
-    def one(r: int) -> tuple[bool, float]:
-        sub = derive_seed(seed, Stream.REPLICA, r)
-        # plain weights on the columns up to the origin, rows up to +k; the
-        # boundary grids at lam-+ share its bulk, so all three run as one
-        # stack.  Only the last rows (the origin column) are read.
-        w_lo = weights(WeightConfig(p, sub, Rect((-v1, -v2), (0, k))))
+    def one(sub: int, w_lo: np.ndarray) -> tuple[bool, float]:
+        # w_lo: plain weights on the columns up to the origin, rows up to
+        # +k; the boundary grids at lam-+ share its bulk, so all three run
+        # as one stack.  Only the last rows (the origin column) are read.
         grids = [w_lo] + [
             _boundary_grid(lambda_params(p, lam), (v1, v2 + k),
                            derive_seed(sub, Stream.GENERIC, tag),
@@ -644,14 +642,12 @@ def sandwich_experiment(p: float, v: tuple[int, int], s: float, replicas: int,
             for tag, lam in ((1, lam_minus), (2, lam_plus))]
         # Delta_j and omega^V at the origin column, at index v2 + j - 1
         delta, lo_col, hi_col = np.diff(last_row(np.stack(grids)))
-        js = np.concatenate([np.arange(-k, 0), np.arange(1, k + 1)]) + v2 - 1
         ok = bool(np.all((lo_col[js] <= delta[js]) & (delta[js] <= hi_col[js])))
         # reflected construction: bulk at hat-grid (i, j) is the plain
         # weight at w - (i, j); its V-increments at the hat column w1 - 1
         # give the upper bounds on -Delta'_j
-        cfg_hat = WeightConfig(p, sub, Rect((1, -k - 1), (w1 - 1, w2 - 1)))
         bulk_hat = np.zeros((w1, w2 + k + 2), dtype=np.int64)
-        bulk_hat[1:, 1:] = weights(cfg_hat)[::-1, ::-1]
+        bulk_hat[1:, 1:] = weights(WeightConfig(p, sub, hat))[::-1, ::-1]
         inc_hat = np.diff(last_row(_boundary_grid(
             lambda_params(p, lam_hat_plus), (w1 - 1, w2 + k + 1),
             derive_seed(sub, Stream.GENERIC, 3), bulk=bulk_hat)))
@@ -660,7 +656,8 @@ def sandwich_experiment(p: float, v: tuple[int, int], s: float, replicas: int,
         y = inc_hat[w2 - np.arange(1, k + 1)] - lo_col[v2 + np.arange(1, k + 1) - 1]
         return ok, float(y.mean())
 
-    rows = [one(r) for r in range(replicas)]
+    rows = [row for part in _per_group(lambda g, ws: [*map(one, g, ws)], p,
+                                       lo, seed, 0, replicas) for row in part]
     freq = fraction_estimate(sum(ok for ok, _ in rows), replicas)
     y_mean = mean_estimate(np.array([ym for _, ym in rows]))
     return SandwichReport(p, (v1, v2), s, k, lam_minus, lam_plus, lam_hat_plus,
@@ -694,9 +691,8 @@ def _influence_rows(p: float, n: int, v_list, i_max: int, replicas: int,
     v_list = [tuple(v) for v in v_list]
     region = _square(n)
     bits = np.arange(i_max + 1)
-    samples, visits = [], []
-    for group in replica_groups(_replica_seeds(seed, 0, replicas), region):
-        w = weight_group(p, group, region)
+
+    def group_rows(group, w):
         # the best path through each vertex; (0, 0) is on every path
         through = forward_table(w) + backward_table(w) - w
         total = through[:, 0, 0]
@@ -725,8 +721,10 @@ def _influence_rows(p: float, n: int, v_list, i_max: int, replicas: int,
             mean_flip = (p * np.maximum(t_avoid, base_path + up)
                          + (1.0 - p) * np.maximum(t_avoid, base_path + down))
             samp[:, a] = np.abs(mean_flip - total[:, None])
-        samples.append(samp)
-        visits.append(hit)
+        return samp, hit
+
+    samples, visits = zip(*_per_group(group_rows, p, region, seed, 0,
+                                      replicas))
     # (replicas, sites, bits) and (replicas, sites)
     return np.concatenate(samples), np.concatenate(visits)
 
@@ -860,18 +858,16 @@ def noise_comparison(p: float, n: int, t: float, replicas: int,
 
     region = _square(n)
 
-    def group_rows(group) -> np.ndarray:
-        fields = coupled_group(p, group, region, t, cap)
+    def group_rows(_, fields) -> np.ndarray:
         fields = fields.reshape((-1,) + region.shape)
         tt = travel_time(fields)
         capped = travel_time(np.minimum(fields, cap, out=fields))
         return np.concatenate((tt, capped)).reshape(6, -1)
 
     # base, bit and site members, then the same capped at M
-    seeds = _replica_seeds(seed, 0, replicas)
     t0, tb, ts, t0c, tbc, tsc = np.concatenate(
-        [group_rows(group) for group in replica_groups(seeds, region)],
-        axis=1).astype(np.float64)
+        [*_per_group(group_rows, p, region, seed, 0, replicas, coupled_group,
+                     t, cap)], axis=1).astype(np.float64)
     corr_bit = pearson_estimate(t0, tb)
     corr_site = pearson_estimate(t0, ts)
     boots = _bootstrap(derive_seed(seed, Stream.GENERIC, 10**6 + 2), 1000,

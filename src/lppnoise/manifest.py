@@ -5,8 +5,9 @@ give identical bytes regardless of scheduling.  A cell is rendered by
 ``format_cell``: ints as ``str`` (numpy ints too), floats as ``%.12g``
 with no locale formatting (so ``-0``, ``nan``, ``inf`` and ``-inf``),
 bools as ``true``/``false`` (numpy bools too), ``None`` as the empty
-string and anything else as ``str``.  Files are written to a temporary
-name and renamed into place.
+string and anything else as ``str``.  JSON is strict (RFC 8259): a
+non-finite float is written as ``null``.  Files are written to a
+temporary name and renamed into place.
 
 ``write_csv_atomic`` takes a table as columns, one sequence per header
 field.  An int, float64 or bool ndarray column is formatted once per
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -109,15 +111,17 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         try:
-            return obj.item()
+            obj = obj.item()
         except Exception:
             return str(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
 def write_json_atomic(path: str, obj) -> None:
     text = json.dumps(_jsonable(obj), indent=2, sort_keys=True,
-                      allow_nan=True) + "\n"
+                      allow_nan=False) + "\n"
     _atomic_write_text(path, text)
 
 

@@ -35,8 +35,18 @@ SUBCOMMANDS = ["run", "bks-verify", "corr-decay", "variance-scaling",
                "dump-field", "dump-geodesic", "dump-stationary"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def _invoke(args):
-    return CliRunner().invoke(main, args, catch_exceptions=False)
+    """Run the CLI; every JSON file in the ``--out`` directory must then
+    parse as strict JSON, with no NaN or Infinity."""
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    if "--out" in args:
+        for path in Path(args[args.index("--out") + 1]).glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+    return res
 
 
 def test_help_lists_every_subcommand():
@@ -407,6 +417,59 @@ def test_draw_experiment_bytes_are_pinned(tmp_path, config, seed):
     assert got == DRAW_SHA256[config, seed]
 
 
+# SHA-256 of the CSV and summary of the grouped-replica experiments,
+# recorded from the implementation that wrote each estimator's replica
+# loop out by hand
+LOOP_COMMANDS = {
+    "variance-scaling": ["--p", "0.3", "--n", "6", "--n", "10", "--n", "15",
+                         "--replicas", "16"],
+    "transversal": ["--p", "0.7", "--n", "6", "--n", "10", "--n", "15",
+                    "--replicas", "16", "--envelope-width", "0",
+                    "--envelope-width", "2"],
+    "geodesic-heatmap": ["--p", "0.4", "--n", "12", "--replicas", "9"],
+}
+LOOP_SHA256 = {
+    ("variance-scaling", 5): (
+        "0faac8d26b14992bea05878ba495125fba29e3094e25449ec5d91c8de81af12a",
+        "adc634de02661fe4e325d3c422d4fd3aceea851f201b7ec4ab71b01f9b12b75a"),
+    ("variance-scaling", 606): (
+        "1b9e6adbf299405113ea5b95dd772424573864d04143c727d1bb4ae013d3fb7e",
+        "7198b0e1516bff6e4de0a8ca0244ab72c728759ef709d80955793e547c16eccc"),
+    ("variance-scaling", 70707): (
+        "fe63aefc1f7202d67446dee43b8575299d614094d6b39147e3413fb3c3211d6a",
+        "56221fd78c5d4ca751145e8a7f5fa5ece4d6732a7cb8fdb0e9c93d720cae9dbb"),
+    ("transversal", 5): (
+        "aa3f81dead9c6a2250a4968ca64fdb6f46b8c6260b51dfcd2cdfa30ef359f2d9",
+        "f80c55bfe4b6a0cfbe75c23f8f145f4a5ff074540fc7f88ad0a08055f5280b9b"),
+    ("transversal", 606): (
+        "c12a9dca94377816a77eba90bf7721214456cce7241d6ae8db24ad24580336d1",
+        "3cef93f05ddd94fdccb6aa2345b95d3532bb58da3caf2a0dbd8f0f871078df76"),
+    ("transversal", 70707): (
+        "278e82e94280b28e008de4d91613384f367c4e48754f97f41e20361a4a0221dd",
+        "aaf6642272ac15487e7f6ff9c67e1edf2ba3f909649333b4b685b10428adaa19"),
+    ("geodesic-heatmap", 5): (
+        "6e47e27ab7d01305da526fde0595ee7bef45e50bbf55eff3c04f4454c4ef785a",
+        "fbc1581cc858ece916030ddce47389cc90f58090edc9f66c2ee339faf8d38377"),
+    ("geodesic-heatmap", 606): (
+        "1a229e31228d514628bc6b01111bdac38c4517305fcc2db3fe0ae0e4bc7eced7",
+        "d73c1fa2e3d2392139b4ed4222f9f1a3631adb8c9bc2bb535a1884d5823243b0"),
+    ("geodesic-heatmap", 70707): (
+        "1ce4b4d0a5a8ccff404d2f897f63568253b56a1f217502db05b664906e9c5f57",
+        "9ad4efb1678d794684047dc93afe7793cc12ea0a353d3265bc8445d334c2862c"),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(LOOP_SHA256))
+def test_replica_loop_experiment_bytes_are_pinned(tmp_path, name, seed):
+    res = _invoke([name, *LOOP_COMMANDS[name], "--seed", str(seed),
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    stem = name.replace("-", "_")
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in (f"{stem}.csv", f"{stem}_summary.json"))
+    assert got == LOOP_SHA256[name, seed]
+
+
 def test_stationary_checks_pass(tmp_path):
     res = _invoke(["stationary-checks", "--p", "0.5", "--lam", "0.5",
                    "--rows", "30", "--cols", "30", "--gof-samples", "2000",
@@ -469,7 +532,8 @@ def test_noise_compare_nan_bootstrap_ci_is_degenerate(tmp_path):
         (tmp_path / "noise_compare_summary.json").read_text())
     diff = summary["corr_diff"]
     assert diff["degenerate"] is True
-    assert all(math.isnan(diff[k]) for k in ("stderr", "ci_low", "ci_high"))
+    # strict JSON has no NaN: the summary holds null
+    assert all(diff[k] is None for k in ("stderr", "ci_low", "ci_high"))
     assert summary["corr_bit_t"]["degenerate"] is False
 
 

@@ -337,7 +337,10 @@ def test_replica_loops_are_budget_invariant():
             # so the samples themselves are compared too
             lambda: transversal_exponent(0.5, (4, 8, 13), 9, 86, n_boot=50),
             lambda: estimators._scale_samples(0.5, (4, 8, 13), 9, 86,
-                                              estimators._span_deviation)]
+                                              estimators._span_deviation),
+            # a 41 x 49 lower region: the default budget packs all 12
+            # replicas into one group, the small ones cut it into strips
+            lambda: sandwich_experiment(0.3, (40, 40), 0.2, 12, 87)]
 
     def key(run):
         # dataclass equality would compare the samples arrays elementwise

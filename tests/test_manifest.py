@@ -150,6 +150,15 @@ def test_write_json_atomic_handles_numpy(tmp_path):
     assert doc == {"x": 3, "y": 0.5, "z": [True]}
 
 
+def test_write_json_atomic_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "c.json"
+    write_json_atomic(str(path), {"v": [float("nan"), np.float64("inf"),
+                                        -np.inf, np.float64(1.5)]})
+    text = path.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    assert json.loads(text) == {"v": [None, None, None, 1.5]}
+
+
 def test_experiment_record_checks():
     rec = ExperimentRecord(name="demo", params={"n": 3})
     assert rec.passed  # vacuous
