@@ -506,9 +506,11 @@ def rw_exact_nonneg(spec: WalkSpec, n_steps: int) -> float:
 
 
 # Steps in rw_nonneg_bound's first block, and the most keys one block
-# draws (2**21 uint64 hashes are 16 MiB).
+# draws: 2**16 uint64 hashes are 512 KiB, so a block's hash chain, cut
+# compares, take and cumsum stay in a core's L2 cache instead of
+# streaming through memory.
 _WALK_FIRST_BLOCK = 16
-_WALK_DRAW_BUDGET = 2**21
+_WALK_DRAW_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -535,8 +537,10 @@ def rw_nonneg_bound(spec: WalkSpec, n_steps: int, replicas: int,
     it draws no further keys; skipping a draw leaves every other draw
     unchanged, so the hit count equals the one from simulating all N
     steps of every walk.  A block holds at most
-    ``_WALK_DRAW_BUDGET`` draws (alive walks x steps), which bounds memory
-    for any ``replicas`` and ``n_steps``.
+    ``_WALK_DRAW_BUDGET`` draws (alive walks x steps, 2**16), so its
+    arrays fit in cache and memory is bounded for any ``replicas`` and
+    ``n_steps``; block boundaries decide only when a dead walk stops
+    drawing, never a value.
 
     An exact value is attached for the two-point support {-1, +1} with
     N <= 24 (transition enumeration elsewhere in tests)."""
@@ -555,18 +559,21 @@ def rw_nonneg_bound(spec: WalkSpec, n_steps: int, replicas: int,
         while walk.size and step < n_steps:
             size = min(block, n_steps - step, _WALK_DRAW_BUDGET // walk.size)
             steps = np.arange(step, step + size, dtype=np.int64)
-            h = hash_array(seed, Stream.GENERIC, walk[:, None],
-                           steps[None, :], 0)
+            # steps x walks: the cumsum and min run along axis 0, one
+            # vectorised row of walks per step, however few steps a
+            # block holds
+            h = hash_array(seed, Stream.GENERIC, walk[None, :],
+                           steps[:, None], 0)
             idx = np.zeros(h.shape, dtype=np.intp)
             for b in bounds:
                 idx += h >= b
             del h       # the block's peak memory is two arrays, not three
             path = vals.take(idx)
             del idx
-            np.cumsum(path, axis=1, out=path)
-            path += pos[:, None]
-            alive = path.min(axis=1) >= 0
-            walk, pos = walk[alive], path[alive, -1]
+            np.cumsum(path, axis=0, out=path)
+            path += pos
+            alive = path.min(axis=0) >= 0
+            walk, pos = walk[alive], path[-1, alive]
             step += size
             block *= 2
         hits += walk.size
@@ -861,7 +868,9 @@ def noise_comparison(p: float, n: int, t: float, replicas: int,
     def group_rows(_, fields) -> np.ndarray:
         fields = fields.reshape((-1,) + region.shape)
         tt = travel_time(fields)
-        capped = travel_time(np.minimum(fields, cap, out=fields))
+        # where the cap binds nowhere, the capped times are the times
+        capped = (tt if fields.max() <= cap else
+                  travel_time(np.minimum(fields, cap, out=fields)))
         return np.concatenate((tt, capped)).reshape(6, -1)
 
     # base, bit and site members, then the same capped at M

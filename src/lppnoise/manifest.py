@@ -13,13 +13,14 @@ temporary name and renamed into place.
 field.  An int, float64 or bool ndarray column is formatted once per
 distinct value (per distinct bit pattern for floats, since -0.0 and 0.0
 print differently) and then gathered, so a lattice-sized table costs a
-few numpy calls per column instead of one Python call per cell.
+few numpy calls per column instead of one Python call per cell.  Rows
+are formatted and written in chunks of ``_CSV_CHUNK_ROWS``, so only one
+chunk's strings are alive at a time, never the whole table's text.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -50,13 +51,19 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+# Rows formatted and written per chunk by write_csv_atomic.
+_CSV_CHUNK_ROWS = 2**14
+
+
+def _atomic_write(path: str, write) -> None:
+    """Call ``write(fh)`` on a temporary text file next to ``path``, then
+    rename it into place; on any failure the temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,8 +79,6 @@ def _distinct_strings(keys: np.ndarray, fmt) -> np.ndarray:
 
 def _format_column(col) -> list[str]:
     if isinstance(col, np.ndarray):
-        if col.ndim != 1:
-            raise ValueError(f"a column must be 1-D, got shape {col.shape}")
         if col.dtype == np.bool_:
             return np.where(col, "true", "false").tolist()
         if np.issubdtype(col.dtype, np.integer):
@@ -91,16 +96,23 @@ def write_csv_atomic(path: str, header: list[str], columns) -> int:
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header fields but {len(columns)} "
                          "columns")
-    cells = [_format_column(col) for col in columns]
-    count = len(cells[0]) if cells else 0
-    if any(len(c) != count for c in cells):
-        raise ValueError("columns differ in length: "
-                         f"{[len(c) for c in cells]}")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*cells))
-    _atomic_write_text(path, buf.getvalue())
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.ndim != 1:
+            raise ValueError(f"a column must be 1-D, got shape {col.shape}")
+    lengths = [len(col) for col in columns]
+    count = lengths[0] if lengths else 0
+    if any(n != count for n in lengths):
+        raise ValueError(f"columns differ in length: {lengths}")
+
+    def write(fh) -> None:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for lo in range(0, count, _CSV_CHUNK_ROWS):
+            writer.writerows(zip(*[
+                _format_column(col[lo:lo + _CSV_CHUNK_ROWS])
+                for col in columns]))
+
+    _atomic_write(path, write)
     return count
 
 
@@ -122,7 +134,7 @@ def _jsonable(obj):
 def write_json_atomic(path: str, obj) -> None:
     text = json.dumps(_jsonable(obj), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
-    _atomic_write_text(path, text)
+    _atomic_write(path, lambda fh: fh.write(text))
 
 
 @dataclass

@@ -470,6 +470,59 @@ def test_replica_loop_experiment_bytes_are_pinned(tmp_path, name, seed):
     assert got == LOOP_SHA256[name, seed]
 
 
+# SHA-256 of the CSV and summary of the field and stationary dumps and
+# the stationary checks, recorded from the implementation that joined
+# each whole CSV table in memory before writing it
+DUMP_COMMANDS = {
+    "dump-field": ["--p", "0.3", "--lo", "-3", "2", "--hi", "9", "14",
+                   "--t", "0.7", "--kind", "site"],
+    "dump-stationary": ["--p", "0.4", "--lam", "0.35", "--rows", "20",
+                        "--cols", "30"],
+    "stationary-checks": ["--p", "0.6", "--lam", "0.3", "--rows", "40",
+                          "--cols", "40", "--gof-samples", "2000"],
+}
+DUMP_SHA256 = {
+    ("dump-field", 5): (
+        "b7b8dca9eadaf473c0ccc9a5544aa3bd0e68e95100297ab012c69cc32147fb59",
+        "6fd385e832cdbc35d461844203b4d258d2362e5c8bd2651a31c45fb174f52a68"),
+    ("dump-field", 606): (
+        "43a0ea8e8620f54400245becfeca942b52ddfa70ae969594fc27229414a87526",
+        "88c047667c8181f685d57496f050ca267fda41248050659d3e025fabd3e9cc80"),
+    ("dump-field", 70707): (
+        "45c88b76d9d78db16fcd811d32b09e68f170cbf3afdb8a0c49d4c858e4f8f088",
+        "51a499e63f822293a831cdf3a38970254cea53c1ea75aeb1841b31cf0ba7b9d5"),
+    ("dump-stationary", 5): (
+        "70bc174f7ad34574134fb9a6a104ffa25fedddba37444e778db3e8eedd5f7521",
+        "0dce783dfb7a806df1f50339e71879c7e4b1d54094ada87ce0733336c0487f22"),
+    ("dump-stationary", 606): (
+        "9ce39780ade80065d9333dfb248a89c92e29743063090fec62fdecbb99d09bc8",
+        "475010ebd3b3523d1b381bb6bb07483112f2921351a1cdec852244de3729631a"),
+    ("dump-stationary", 70707): (
+        "8bb3453f233a50da3834ea4eb6a9884efb40d5639ed353ad21fa8ada6746da67",
+        "bc0f9073ce66f967f18e38c4fc9754d38c1d71e8373a7cab7d20eb17fee59f77"),
+    ("stationary-checks", 5): (
+        "6e67f41716b835fdf1c0ad13275bd263c70c432e2b6b5782f7bfb5c6d083447f",
+        "b483a0de5ce32ac33e86cdbb54053b3efb026944d866acc8355b8bbf18780756"),
+    ("stationary-checks", 606): (
+        "f85c99cf6d95afac47a52af1c6d016b6e56ef3e4b701138bb221a715c9f437ec",
+        "31e14e1b059cce3d62472388482d9fa755224e6b9ff7ad3183341a95115ead56"),
+    ("stationary-checks", 70707): (
+        "3f339b8b136f17c569116f4327d5da67736e8e8e52aa7e188e973c1a65b06fa0",
+        "8bd9e9f7aedf9d71ce4fc1534f721eca9f81a21edb65691c5ca830032d8a7289"),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(DUMP_SHA256))
+def test_dump_and_stationary_bytes_are_pinned(tmp_path, name, seed):
+    res = _invoke([name, *DUMP_COMMANDS[name], "--seed", str(seed),
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    stem = name.replace("-", "_")
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in (f"{stem}.csv", f"{stem}_summary.json"))
+    assert got == DUMP_SHA256[name, seed]
+
+
 def test_stationary_checks_pass(tmp_path):
     res = _invoke(["stationary-checks", "--p", "0.5", "--lam", "0.5",
                    "--rows", "30", "--cols", "30", "--gof-samples", "2000",

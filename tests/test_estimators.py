@@ -2,6 +2,7 @@
 oracles, statistical pieces against pinned-seed expectations."""
 
 import itertools
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -290,8 +291,10 @@ def _noise_comparison_per_replica(p, n, t, replicas, seed):
 
 @pytest.mark.parametrize("budget", [1, 500, lattice._SITE_BUDGET])
 def test_noise_comparison_matches_per_replica_loop(budget):
+    # the cap M binds in no field of the first three and in some fields
+    # of the last, so both the reused and the capped DP are compared
     for p, n, t, seed in ((0.5, 12, 0.2, 71), (0.3, 5, 0.5, 72),
-                          (0.5, 9, 0.0, 73)):
+                          (0.5, 9, 0.0, 73), (0.5, 2, 0.5, 74)):
         (t0, tb, ts), boots, covs = _noise_comparison_per_replica(
             p, n, t, 45, seed)
         with mock.patch.object(lattice, "_SITE_BUDGET", budget):
@@ -504,11 +507,26 @@ def test_rw_early_exit_draw_budget_and_keys(monkeypatch):
     assert rep.q_hat == fraction_estimate(
         _rw_hits_full_matrix(spec, 777, 2500, 5), 2500)
     # the first block of 1000 live walks is cut from 16 steps to 1
-    assert calls[0][0].shape == (1000, 1)
+    # (blocks are steps x walks)
+    assert calls[0][0].shape == (1, 1000)
     assert max(w.size for w, _ in calls) <= 1000
     keys = np.concatenate([(w * 1000 + k).ravel() for w, k in calls])
     assert np.unique(keys).size == keys.size      # no key drawn twice
     assert keys.size < 2500 * 777                 # dead walks stop drawing
+
+
+def test_rw_walk_blocks_stay_cache_sized():
+    # with 3 in 4 walks alive, 2**21-key blocks peaked near 51 MiB here;
+    # 2**16-key blocks peak near 2 MiB
+    spec = walk_spec((-1, 1), (0.2, 0.8))
+    tracemalloc.start()
+    try:
+        rep = rw_nonneg_bound(spec, 300, replicas=20_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.q_hat.estimate > 0.7
+    assert peak < 2 ** 23
 
 
 @pytest.mark.parametrize("values,probs", [((1, 0, -1), (0.7, 0.2, 0.1)),

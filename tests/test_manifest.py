@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lppnoise import manifest
 from lppnoise.manifest import (ExperimentRecord, RunManifest, format_cell,
                                write_csv_atomic, write_json_atomic)
 
@@ -130,6 +131,10 @@ def test_columnar_writer_distinguishes_signed_zero(tmp_path):
         assert fh.read() == b"z\n0\n-0\n0\n-0\n"
 
 
+def _leftovers(directory):
+    return sorted(f for f in os.listdir(directory) if f.startswith(".tmp-"))
+
+
 def test_columnar_writer_rejects_bad_columns(tmp_path):
     path = str(tmp_path / "bad.csv")
     with pytest.raises(ValueError, match="differ in length"):
@@ -138,7 +143,46 @@ def test_columnar_writer_rejects_bad_columns(tmp_path):
         write_csv_atomic(path, ["a", "b"], [np.arange(3)])
     with pytest.raises(ValueError, match="1-D"):
         write_csv_atomic(path, ["a"], [np.zeros((2, 2))])
-    assert not os.path.exists(path)
+    with pytest.raises(ValueError, match="1-D"):
+        write_csv_atomic(path, ["a", "b"], [np.arange(4), np.zeros((2, 2))])
+    assert not os.path.exists(path) and _leftovers(tmp_path) == []
+
+
+def test_chunked_writer_matches_one_whole_table_pass(tmp_path):
+    n = 2 * manifest._CSV_CHUNK_ROWS + 1
+    i = np.arange(n)
+    ints = i - n // 2
+    floats = np.where(i % 3 == 0, -0.0, i / 7.0)
+    floats[i % 11 == 5] = np.nan
+    bools = i % 2 == 0
+    mixed = [None if k % 5 == 0 else "a,b" if k % 5 == 1 else k
+             for k in range(n)]
+    header = ["int", "float", "bool", "mixed"]
+    path = str(tmp_path / "big.csv")
+    assert write_csv_atomic(path, header, [ints, floats, bools, mixed]) == n
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_cell(c) for c in row] for row in zip(
+        ints.tolist(), floats.tolist(), bools.tolist(), mixed))
+    with open(path, "rb") as fh:
+        got = fh.read()
+    assert b'"a,b"' in got and b",-0," in got and b",nan," in got
+    assert got == buf.getvalue().encode()
+
+
+def test_failure_after_a_written_chunk_leaves_no_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    n = manifest._CSV_CHUNK_ROWS + 5
+    col = [0] * n
+    col[-1] = Unprintable()      # fails only in the second chunk
+    path = tmp_path / "broken.csv"
+    with pytest.raises(RuntimeError, match="cannot format"):
+        write_csv_atomic(str(path), ["a"], [col])
+    assert not path.exists() and _leftovers(tmp_path) == []
 
 
 def test_write_json_atomic_handles_numpy(tmp_path):
