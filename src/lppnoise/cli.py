@@ -345,9 +345,8 @@ def _run_rw_bound(q, seed, rec):
         raise ConfigError(f'invalid value for "values"/"probs" in rw-bound: '
                           f"{exc}") from None
     rows, summary = [], {}
-    for n_steps in q["n_steps"]:
-        rep = rw_nonneg_bound(spec, n_steps, q["replicas"], seed)
-        e = rep.q_hat
+    for rep in rw_nonneg_bound(spec, q["n_steps"], q["replicas"], seed):
+        n_steps, e = rep.n_steps, rep.q_hat
         rows.append([n_steps, e.estimate, e.stderr, e.ci_low, e.ci_high,
                      rep.bound, rep.exact])
         slack = e.estimate - rep.bound

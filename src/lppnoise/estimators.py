@@ -507,8 +507,9 @@ def rw_exact_nonneg(spec: WalkSpec, n_steps: int) -> float:
 
 # Steps in rw_nonneg_bound's first block, and the most keys one block
 # draws: 2**16 uint64 hashes are 512 KiB, so a block's hash chain, cut
-# compares, take and cumsum stay in a core's L2 cache instead of
-# streaming through memory.
+# counts and path stay in a core's L2 cache instead of streaming through
+# memory.  One call makes each of these buffers once, at most this long,
+# and every block writes into them.
 _WALK_FIRST_BLOCK = 16
 _WALK_DRAW_BUDGET = 2**16
 
@@ -524,66 +525,86 @@ class RwBoundReport:
     seed: int
 
 
-def rw_nonneg_bound(spec: WalkSpec, n_steps: int, replicas: int,
-                    seed: int) -> RwBoundReport:
-    """Simulated stay-nonnegative probability against the closed bound.
+def rw_nonneg_bound(spec: WalkSpec, n_list, replicas: int,
+                    seed: int) -> list[RwBoundReport]:
+    """Simulated stay-nonnegative probability against the closed bound,
+    one report per step count of ``n_list``, in its order (repeats
+    included).
 
     Step ``k`` of walk ``w`` is the keyed draw ``(seed, GENERIC, w, k, 0)``
     read by inversion: value j of the law where the draw's uniform U has
     passed j cumulative probabilities, ``searchsorted(cuts, U, "right")``.
     The index is decided on the raw hash h as the number of cut bounds
-    (``rng.hash_cuts``) that h reaches.  Walks advance in blocks of steps
-    (16, then doubling) and a walk that has gone negative is dropped, so
-    it draws no further keys; skipping a draw leaves every other draw
-    unchanged, so the hit count equals the one from simulating all N
-    steps of every walk.  A block holds at most
-    ``_WALK_DRAW_BUDGET`` draws (alive walks x steps, 2**16), so its
-    arrays fit in cache and memory is bounded for any ``replicas`` and
-    ``n_steps``; block boundaries decide only when a dead walk stops
-    drawing, never a value.
+    (``rng.hash_cuts``) that h reaches.  Every walk is simulated once, up
+    to the largest step count, in blocks of steps (16, then doubling)
+    that also end at each step count, where the walks still alive are
+    that count's hits.  A walk that has gone negative is dropped, so it
+    draws no further keys; skipping a draw leaves every other draw
+    unchanged, so each hit count equals the one from simulating all N
+    steps of every walk.  A block holds at most ``_WALK_DRAW_BUDGET``
+    draws (alive walks x steps, 2**16) and writes its hashes, cut counts
+    and path into buffers made once per call, so memory is bounded for
+    any ``replicas`` and step count; block boundaries decide only when a
+    dead walk stops drawing, never a value.
 
     An exact value is attached for the two-point support {-1, +1} with
     N <= 24 (transition enumeration elsewhere in tests)."""
+    n_list = [int(n) for n in n_list]
+    if not n_list or min(n_list) < 1:
+        raise ValueError(f"need step counts >= 1, got {n_list}")
     if replicas < 1:
         raise ValueError("need at least one replica")
     # Counting all but the last cut point maps every hash to a valid
     # index even when the probabilities sum to just under 1.
     bounds = hash_cuts(np.cumsum(spec.probs)[:-1])
     vals = np.array(spec.values, dtype=np.int64)
-    hits = 0
+    cuts = sorted(set(n_list))
+    hits = dict.fromkeys(cuts, 0)
+    # the hash chain, its shift scratch, the cut counts and the path
+    buffers = [np.empty(_WALK_DRAW_BUDGET, dtype=t)
+               for t in (np.uint64, np.uint64, np.intp, np.int64)]
     for first in range(0, replicas, _WALK_DRAW_BUDGET):
         walk = np.arange(first, min(first + _WALK_DRAW_BUDGET, replicas),
                          dtype=np.int64)
         pos = np.zeros(walk.size, dtype=np.int64)
         step, block = 0, _WALK_FIRST_BLOCK
-        while walk.size and step < n_steps:
-            size = min(block, n_steps - step, _WALK_DRAW_BUDGET // walk.size)
-            steps = np.arange(step, step + size, dtype=np.int64)
-            # steps x walks: the cumsum and min run along axis 0, one
-            # vectorised row of walks per step, however few steps a
-            # block holds
-            h = hash_array(seed, Stream.GENERIC, walk[None, :],
-                           steps[:, None], 0)
-            idx = np.zeros(h.shape, dtype=np.intp)
-            for b in bounds:
-                idx += h >= b
-            del h       # the block's peak memory is two arrays, not three
-            path = vals.take(idx)
-            del idx
-            np.cumsum(path, axis=0, out=path)
-            path += pos
-            alive = path.min(axis=0) >= 0
-            walk, pos = walk[alive], path[-1, alive]
-            step += size
-            block *= 2
-        hits += walk.size
-    bound = 4.0 * spec.sigma / (spec.delta * np.sqrt(n_steps)) + spec.mu / spec.delta
-    exact = None
-    if set(spec.values) <= {-1, 1} and n_steps <= 24:
-        exact = rw_exact_nonneg(spec, n_steps)
-    return RwBoundReport(spec, n_steps, float(bound),
-                         fraction_estimate(hits, replicas), exact,
-                         replicas, seed)
+        for cut in cuts:
+            while walk.size and step < cut:
+                size = min(block, cut - step, _WALK_DRAW_BUDGET // walk.size)
+                shape, n = (size, walk.size), size * walk.size
+                steps = np.arange(step, step + size, dtype=np.int64)
+                # steps x walks: the cumsum and min run along axis 0, one
+                # vectorised row of walks per step, however few steps a
+                # block holds
+                h, tmp, idx, path = (buf[:n].reshape(shape)
+                                     for buf in buffers)
+                hash_array(seed, Stream.GENERIC, walk[None, :],
+                           steps[:, None], 0, out=(h, tmp))
+                idx.fill(0)
+                reached = tmp.view(np.int64)   # free once h is made
+                for b in bounds:
+                    np.greater_equal(h, b, out=reached)
+                    idx += reached
+                vals.take(idx, out=path, mode="clip")
+                np.cumsum(path, axis=0, out=path)
+                path += pos
+                alive = path.min(axis=0) >= 0
+                walk, pos = walk[alive], path[-1, alive]
+                step += size
+                block *= 2
+            hits[cut] += walk.size
+    reports = []
+    for n_steps in n_list:
+        bound = (4.0 * spec.sigma / (spec.delta * np.sqrt(n_steps))
+                 + spec.mu / spec.delta)
+        exact = None
+        if set(spec.values) <= {-1, 1} and n_steps <= 24:
+            exact = rw_exact_nonneg(spec, n_steps)
+        reports.append(RwBoundReport(
+            spec, n_steps, float(bound),
+            fraction_estimate(hits[n_steps], replicas), exact, replicas,
+            seed))
+    return reports
 
 
 # -------------------------------------------------- boundary sandwich checks

@@ -23,7 +23,8 @@ The chain absorbs ``index`` last, so the state after ``(seed, tag, x,
 y)`` is a per-site *key prefix* (``key_prefix``): a scan over the
 indices of one site hashes the prefix once and then needs one finalizer
 round per draw (``bernoulli_at``, ``rings_at``), with the same values as
-the full key.
+the full key.  ``hash_array(..., out=(h, scratch))`` runs the chain in
+two given arrays instead of fresh ones, with the same bits.
 """
 
 from __future__ import annotations
@@ -95,9 +96,34 @@ def _mix(z):
     return z
 
 
+def _mix_into(z, tmp):
+    # _mix with each shift written into the scratch tmp of z's shape: the
+    # same bits, and no array allocated.  _mix keeps the operators: a
+    # ufunc call with out= takes twice as long on the scalar seed state.
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
+    z *= _FIN_1
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= _FIN_2
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
+    return z
+
+
 def _as_u64(x) -> np.ndarray:
     # Accept signed ints/arrays; two's complement reinterpretation.
     return np.asarray(x, dtype=np.int64).astype(np.uint64)
+
+
+def _x_state(seed, tag: Stream, sx) -> np.ndarray:
+    # hash state after absorbing (seed, tag, sx); callers ignore overflow
+    if isinstance(seed, np.ndarray):
+        h = _mix(seed.astype(np.uint64)
+                 + _U64((_GOLDEN * (int(tag) + 1)) & _MASK64))
+    else:
+        h = _mix(_U64((int(seed) + _GOLDEN * (int(tag) + 1)) & _MASK64))
+    return _mix(h ^ (_as_u64(sx) * _U64(_MUL_A)))
 
 
 def key_prefix(seed, tag: Stream, sx, sy) -> np.ndarray:
@@ -107,14 +133,7 @@ def key_prefix(seed, tag: Stream, sx, sy) -> np.ndarray:
     replica shaped ``(R, 1, 1)``; it broadcasts with sx and sy.  Open
     grids (``xs[:, None]``, ``ys[None, :]``) absorb each x once per seed."""
     with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        if isinstance(seed, np.ndarray):
-            h = _mix(seed.astype(np.uint64)
-                     + _U64((_GOLDEN * (int(tag) + 1)) & _MASK64))
-        else:
-            h = _mix(_U64((int(seed) + _GOLDEN * (int(tag) + 1)) & _MASK64))
-        h = _mix(h ^ (_as_u64(sx) * _U64(_MUL_A)))
-        h = _mix(h ^ (_as_u64(sy) * _U64(_MUL_B)))
-    return h
+        return _mix(_x_state(seed, tag, sx) ^ (_as_u64(sy) * _U64(_MUL_B)))
 
 
 def _absorb(prefix, index) -> np.ndarray:
@@ -123,9 +142,23 @@ def _absorb(prefix, index) -> np.ndarray:
         return _mix(prefix ^ (_as_u64(index) * _GOLDEN_U64))
 
 
-def hash_array(seed: int, tag: Stream, sx, sy, index) -> np.ndarray:
-    """The raw 64-bit keyed hashes of the broadcast key arrays."""
-    return _absorb(key_prefix(seed, tag, sx, sy), index)
+def hash_array(seed: int, tag: Stream, sx, sy, index,
+               out=None) -> np.ndarray:
+    """The raw 64-bit keyed hashes of the broadcast key arrays.
+
+    ``out``, if given, is a pair of uint64 arrays of the broadcast key
+    shape: the hashes are written into the first, which is returned, and
+    the second is scratch.  The bits are the same, and the chain then
+    allocates only arrays of the shapes of sx, sy and index."""
+    if out is None:
+        return _absorb(key_prefix(seed, tag, sx, sy), index)
+    h, tmp = out
+    with np.errstate(over="ignore"):
+        np.bitwise_xor(_x_state(seed, tag, sx),
+                       _as_u64(sy) * _U64(_MUL_B), out=h)
+        _mix_into(h, tmp)
+        h ^= _as_u64(index) * _GOLDEN_U64
+        return _mix_into(h, tmp)
 
 
 def _unit(h) -> np.ndarray:

@@ -348,6 +348,16 @@ DRAW_COMMANDS = {
                         "--value", "0", "--prob", "0.3", "--value", "3",
                         "--prob", "0.3", "--steps", "20", "--steps", "400",
                         "--replicas", "1500"],
+    # unsorted and repeated step counts; N <= 24 fills the exact column
+    "rw-bound-pm1-unsorted": ["rw-bound", "--value", "-1", "--prob", "0.5",
+                              "--value", "1", "--prob", "0.5", "--steps",
+                              "1000", "--steps", "10", "--steps", "1000",
+                              "--steps", "1", "--replicas", "600"],
+    "rw-bound-m2-0-3-unsorted": ["rw-bound", "--value", "-2", "--prob",
+                                 "0.35", "--value", "0", "--prob", "0.3",
+                                 "--value", "3", "--prob", "0.35", "--steps",
+                                 "1000", "--steps", "10", "--steps", "1000",
+                                 "--steps", "1", "--replicas", "600"],
     "corr-decay-bit": ["corr-decay", "--p", "0.3", "--n", "12", "--t", "0",
                        "--t", "0.25", "--t", "4", "--kind", "bit",
                        "--replicas", "30"],
@@ -376,6 +386,24 @@ DRAW_SHA256 = {
     ("rw-bound-m2-0-3", 65537): (
         "0085cf82a80d8778b389085f76a4216fc3a31b56af5a94ac2c3817a0ebf6926c",
         "ac76208f2a299f49d75e4784deb4ef3ef78af682ae8aa72234d638acad434bc6"),
+    ("rw-bound-pm1-unsorted", 5): (
+        "ca074e580398cff11f2aa73ee8f904762a95701b43f06ccd414558f210395e9b",
+        "367f65d1894368f86339e3e6b2e077d31eed22480069cdcfdf3974a34208eab6"),
+    ("rw-bound-pm1-unsorted", 606): (
+        "b3eb8d5c63618ea5c99a432aa6e27ac570ad58e3bc1e54e81c6d366ce26cdc3c",
+        "381866748a03a8498716cad97732ba36aa970d6d488a8e7a836c731652c6c86c"),
+    ("rw-bound-pm1-unsorted", 70707): (
+        "d5d34550173a7b7d0b19e2ef3a8e11de1535444ea0949b426870257c4c18c58a",
+        "62f4b21a707f2f3f5afb0bf6ce344117b4e3972372c46f9cccf8f79a1ee56138"),
+    ("rw-bound-m2-0-3-unsorted", 5): (
+        "e2bf32bf9fc600954409b1e6377b63a19887b502702972b823a88eb87aaf2454",
+        "cdca29c9d30ec3982ccbc38307e40ffee7bcb5dcb88b4c4ee4906844ec888328"),
+    ("rw-bound-m2-0-3-unsorted", 606): (
+        "cfb4d5272db53957de4e2b835f9e90faa28d9558f2d450567807ed679bcfb8b7",
+        "23bfd3831876903afbb55f29281cceb13c58f2a01df3c66e9918d10cb25bc456"),
+    ("rw-bound-m2-0-3-unsorted", 70707): (
+        "a2bd831a59d08c19ed0c234c564efd079e96dbcf148a13511285b78a8c7e7592",
+        "dc3f84e689f8088b92f934b33dc05e72cc756395c25ff6693c4ce220b2611671"),
     ("corr-decay-bit", 17): (
         "8be855efa369bcc1488db076cc3fbd4c8921d5d9ffb5df8a3b1655b4210e7550",
         "7165b3d4e858d0a823f13bfe2f33fda940f860f25f65e52046bf8ee502c2643c"),

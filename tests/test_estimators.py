@@ -444,14 +444,17 @@ def test_walk_spec_moments_and_validation():
 
 def test_rw_bound_report():
     spec = walk_spec((-1, 1), (0.5, 0.5))
-    rep = rw_nonneg_bound(spec, 16, replicas=4000, seed=19)
+    rep, = rw_nonneg_bound(spec, [16], replicas=4000, seed=19)
     assert rep.bound == pytest.approx(4 * spec.sigma / (spec.delta * 4.0))
     assert rep.exact == pytest.approx(rw_exact_nonneg(spec, 16), abs=1e-12)
     # the estimate sees the same truth the DP computes
     assert abs(rep.q_hat.estimate - rep.exact) < 5 * max(rep.q_hat.stderr, 1e-3)
     assert rep.q_hat.estimate <= rep.bound
-    long = rw_nonneg_bound(spec, 100, replicas=500, seed=19)
+    long, = rw_nonneg_bound(spec, [100], replicas=500, seed=19)
     assert long.exact is None  # exact DP only attached for tiny walks
+    for n_list in ([], [16, 0]):
+        with pytest.raises(ValueError, match="step counts"):
+            rw_nonneg_bound(spec, n_list, replicas=10, seed=19)
 
 
 def _rw_hits_full_matrix(spec, n_steps, replicas, seed):
@@ -479,37 +482,45 @@ def _step_laws(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(spec=_step_laws(),
-       n_steps=st.one_of(st.integers(1, 40), st.integers(41, 3000)),
+       n_list=st.lists(st.one_of(st.integers(1, 40), st.integers(41, 3000)),
+                       min_size=1, max_size=4),
        replicas=st.integers(1, 300),
        seed=st.integers(0, 2**63 - 1),
        budget=st.sampled_from([None, 5, 64, 1000]))
-def test_rw_early_exit_matches_full_matrix(spec, n_steps, replicas, seed,
+def test_rw_early_exit_matches_full_matrix(spec, n_list, replicas, seed,
                                            budget):
+    # one pass over unsorted, repeated step counts
     cap = budget or estimators._WALK_DRAW_BUDGET
     with mock.patch.object(estimators, "_WALK_DRAW_BUDGET", cap):
-        rep = rw_nonneg_bound(spec, n_steps, replicas, seed)
-    hits = _rw_hits_full_matrix(spec, n_steps, replicas, seed)
-    assert rep.q_hat == fraction_estimate(hits, replicas)
+        reps = rw_nonneg_bound(spec, n_list, replicas, seed)
+    assert [r.n_steps for r in reps] == n_list
+    for rep in reps:
+        hits = _rw_hits_full_matrix(spec, rep.n_steps, replicas, seed)
+        assert rep.q_hat == fraction_estimate(hits, replicas)
 
 
 def test_rw_early_exit_draw_budget_and_keys(monkeypatch):
     spec = walk_spec((-1, 1), (0.475, 0.525))
     calls = []
 
-    def recording_hash(seed, tag, sx, sy, index):
-        h = hash_array(seed, tag, sx, sy, index)
+    def recording_hash(seed, tag, sx, sy, index, out=None):
+        h = hash_array(seed, tag, sx, sy, index, out=out)
         calls.append(np.broadcast_arrays(sx, sy))
         return h
 
     monkeypatch.setattr(estimators, "_WALK_DRAW_BUDGET", 1000)
     monkeypatch.setattr(estimators, "hash_array", recording_hash)
-    rep = rw_nonneg_bound(spec, 777, replicas=2500, seed=5)
-    assert rep.q_hat == fraction_estimate(
-        _rw_hits_full_matrix(spec, 777, 2500, 5), 2500)
+    n_list = [777, 5, 777, 300]
+    reps = rw_nonneg_bound(spec, n_list, replicas=2500, seed=5)
+    assert [r.n_steps for r in reps] == n_list
+    for rep in reps:
+        assert rep.q_hat == fraction_estimate(
+            _rw_hits_full_matrix(spec, rep.n_steps, 2500, 5), 2500)
     # the first block of 1000 live walks is cut from 16 steps to 1
     # (blocks are steps x walks)
     assert calls[0][0].shape == (1, 1000)
     assert max(w.size for w, _ in calls) <= 1000
+    assert max(k.max() for _, k in calls) < 777   # no step past the largest N
     keys = np.concatenate([(w * 1000 + k).ravel() for w, k in calls])
     assert np.unique(keys).size == keys.size      # no key drawn twice
     assert keys.size < 2500 * 777                 # dead walks stop drawing
@@ -521,7 +532,7 @@ def test_rw_walk_blocks_stay_cache_sized():
     spec = walk_spec((-1, 1), (0.2, 0.8))
     tracemalloc.start()
     try:
-        rep = rw_nonneg_bound(spec, 300, replicas=20_000, seed=3)
+        rep, = rw_nonneg_bound(spec, [300], replicas=20_000, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -536,11 +547,13 @@ def test_rw_step_lookup_at_largest_uniform(monkeypatch, values, probs):
     hash 2**64 - 1."""
     spec = walk_spec(values, probs)
     assert np.cumsum(probs)[-1] <= np.nextafter(1.0, 0.0)
-    monkeypatch.setattr(
-        estimators, "hash_array",
-        lambda seed, tag, sx, sy, index: np.full(
-            np.broadcast(sx, sy).shape, 2 ** 64 - 1, dtype=np.uint64))
-    rep = rw_nonneg_bound(spec, 20, replicas=10, seed=1)
+
+    def largest_hash(seed, tag, sx, sy, index, out):
+        out[0].fill(2 ** 64 - 1)
+        return out[0]
+
+    monkeypatch.setattr(estimators, "hash_array", largest_hash)
+    rep, = rw_nonneg_bound(spec, [20], replicas=10, seed=1)
     # every step takes the last value of the law
     assert rep.q_hat.estimate == (1.0 if values[-1] >= 0 else 0.0)
 
@@ -559,9 +572,13 @@ def test_rw_steps_at_the_cut_bounds_match_the_float_search(
                              for c in cuts for d in (-1, 0, 1)}
                             | {0, 2 ** 64 - 1}), dtype=np.uint64)
 
-    def edge_hash(seed, tag, sx, sy, index):
+    def edge_hash(seed, tag, sx, sy, index, out=None):
         w, k = np.broadcast_arrays(sx, sy)
-        return edges[(3 * w + 5 * k + w * k) % edges.size]
+        h = edges[(3 * w + 5 * k + w * k) % edges.size]
+        if out is None:
+            return h
+        out[0][...] = h
+        return out[0]
 
     monkeypatch.setattr(estimators, "hash_array", edge_hash)
     n_steps, replicas = 30, 200
@@ -570,7 +587,7 @@ def test_rw_steps_at_the_cut_bounds_match_the_float_search(
     steps = np.array(values)[np.searchsorted(
         cuts, (h >> np.uint64(11)) * 2.0 ** -53, side="right")]
     hits = int((np.cumsum(steps, axis=1) >= 0).all(axis=1).sum())
-    rep = rw_nonneg_bound(spec, n_steps, replicas, seed=1)
+    rep, = rw_nonneg_bound(spec, [n_steps], replicas, seed=1)
     assert rep.q_hat == fraction_estimate(hits, replicas)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lppnoise import rng
 from lppnoise.rng import (Stream, bernoulli_at, derive_seed, geometric_array,
@@ -176,6 +177,24 @@ def test_seed_array_prefix_equals_per_seed_calls(seeds, tag, x0, y0):
     # an int seed is taken mod 2**64, like the array's uint64 values
     assert key_prefix(seeds[0] - 2 ** 64, tag, x0, y0) == \
         key_prefix(col.ravel()[:1], tag, x0, y0)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), tag=st.sampled_from(list(Stream)),
+       shapes=hnp.mutually_broadcastable_shapes(num_shapes=3, max_dims=3,
+                                                max_side=4),
+       x0=st.integers(-2 ** 40, 2 ** 40), y0=st.integers(-2 ** 40, 2 ** 40),
+       index=st.integers(1, 10 ** 7))
+def test_hash_array_into_buffers_equals_allocating_chain(seed, tag, shapes,
+                                                         x0, y0, index):
+    sx, sy, ix = (start + np.arange(np.prod(shape, dtype=int)).reshape(shape)
+                  for start, shape in zip((x0, y0, index),
+                                          shapes.input_shapes))
+    want = rng.hash_array(seed, tag, sx, sy, ix)
+    h = np.empty(shapes.result_shape, dtype=np.uint64)
+    scratch = np.empty_like(h)
+    assert rng.hash_array(seed, tag, sx, sy, ix, out=(h, scratch)) is h
+    assert np.array_equal(h, want)
 
 
 def test_open_grid_prefix_matches_pointwise_keys():
