@@ -309,6 +309,9 @@ def _scale_samples(p: float, n_list, replicas: int, seed: int, stack_stat):
 
 def _bootstrap_slope(p: float, n_list: list[int], samples: list[np.ndarray],
                      stat_fn, n_boot: int, seed: int) -> ExponentFit:
+    """Fit and bootstrap CI of the log-log slope of ``stat_fn`` against
+    scale.  ``stat_fn`` reduces the last axis, so one call per scale and
+    chunk takes the statistic of every resample in the chunk."""
     def log_stat(values, what: str) -> np.ndarray:
         for n, v in zip(n_list, values):
             if v <= 0:
@@ -322,11 +325,11 @@ def _bootstrap_slope(p: float, n_list: list[int], samples: list[np.ndarray],
     slope = float(np.polyfit(log_n, log_stat(point, "statistic"), 1)[0])
 
     def refit(*idx):
-        out = np.empty(len(idx[0]))
+        stats = np.array([stat_fn(s[i]) for s, i in zip(samples, idx)])
+        out = np.empty(stats.shape[1])
         for b in range(out.size):
-            ys = np.array([stat_fn(s[i[b]]) for s, i in zip(samples, idx)])
-            out[b] = np.polyfit(
-                log_n, log_stat(ys, "a bootstrap resample's statistic"), 1)[0]
+            out[b] = np.polyfit(log_n, log_stat(
+                stats[:, b], "a bootstrap resample's statistic"), 1)[0]
         return out
 
     boots = _bootstrap(seed, n_boot, [s.size for s in samples], refit)
@@ -348,8 +351,9 @@ def variance_scaling(p: float, n_list, replicas: int, seed: int,
                      n_boot: int = 1000) -> VarianceScalingResult:
     """Var(T_n) against n on a log-log scale (KPZ exponent 2/3)."""
     n_list, samples = _scale_samples(p, n_list, replicas, seed, travel_time)
-    fit = _bootstrap_slope(p, n_list, samples, lambda s: s.var(ddof=1),
-                           n_boot, derive_seed(seed, Stream.GENERIC, 10**6))
+    fit = _bootstrap_slope(p, n_list, samples,
+                           lambda s: s.var(ddof=1, axis=-1), n_boot,
+                           derive_seed(seed, Stream.GENERIC, 10**6))
     means = tuple(float(s.mean() / n) for s, n in zip(samples, n_list))
     return VarianceScalingResult(p, fit, means, replicas, seed)
 
@@ -428,7 +432,8 @@ def transversal_exponent(p: float, n_list, replicas: int, seed: int,
     """
     n_list, samples = _scale_samples(p, n_list, replicas, seed,
                                      _span_deviation)
-    fit = _bootstrap_slope(p, n_list, samples, np.median, n_boot,
+    fit = _bootstrap_slope(p, n_list, samples,
+                           lambda s: np.median(s, axis=-1), n_boot,
                            derive_seed(seed, Stream.GENERIC, 10**6 + 1))
     return TransversalResult(p, fit, replicas, seed)
 

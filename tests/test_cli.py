@@ -498,6 +498,31 @@ def test_replica_loop_experiment_bytes_are_pinned(tmp_path, name, seed):
     assert got == LOOP_SHA256[name, seed]
 
 
+# SHA-256 of the CSV and summary of a 101 x 101 heatmap, whose 10,201 rows
+# span two CSV chunks, recorded from the writer that passed each chunk to
+# csv.writerows
+TWO_CHUNK_HEATMAP_SHA256 = {
+    5: ("7547b40083c0fdc2db0b5ec4f9835bc6a0df84ffaeb05b46d49aae7c51e52bc0",
+        "11f567ffe5bdf63cd180f6016c63fbc417289df1acdb408894ac3c2790d417a2"),
+    606: ("57a7bf2e47da2d775f6f8a850f626ebd748db41ba2472442234aaa01233c0778",
+          "456700967f9a95567aa9106516f5fe62ddd6973ecd5cf8a7341b17fa92c8ef7e"),
+    70707: (
+        "57b48e059e133036caf9c34c40de0ef54ab3c35de96c757867cbecdc186559bf",
+        "de760f2834869a1523e40c0f417eb778af234b5acfe69160328773696d536aa0"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TWO_CHUNK_HEATMAP_SHA256))
+def test_two_chunk_heatmap_bytes_are_pinned(tmp_path, seed):
+    res = _invoke(["geodesic-heatmap", "--n", "100", "--replicas", "2",
+                   "--seed", str(seed), "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("geodesic_heatmap.csv",
+                          "geodesic_heatmap_summary.json"))
+    assert got == TWO_CHUNK_HEATMAP_SHA256[seed]
+
+
 # SHA-256 of the CSV and summary of the field and stationary dumps and
 # the stationary checks, recorded from the implementation that joined
 # each whole CSV table in memory before writing it

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lppnoise import estimators, lattice
@@ -190,6 +190,8 @@ def test_bootstrap_matches_the_old_loops(sizes, n_boot, seed, data_seed,
     log_n = np.log(8.0 * np.arange(1, len(sizes) + 1))
     stat_fn = ((lambda s: s.var(ddof=1)) if stat == "var"
                else (lambda s: float(np.median(s))))
+    axis_fn = ((lambda s: s.var(ddof=1, axis=-1)) if stat == "var"
+               else (lambda s: np.median(s, axis=-1)))
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")   # constant columns, one-scale fits
         got = estimators._bootstrap(
@@ -205,7 +207,7 @@ def test_bootstrap_matches_the_old_loops(sizes, n_boot, seed, data_seed,
         point = np.array([stat_fn(x) for x in samples])
         assume((point > 0).all())
         fit = _slope_fit_or_rejection(
-            [8 * k for k in range(1, len(sizes) + 1)], samples, stat_fn,
+            [8 * k for k in range(1, len(sizes) + 1)], samples, axis_fn,
             n_boot, seed, clamped)
     if fit is not None:
         lo, hi = np.percentile(want, [2.5, 97.5])
@@ -243,10 +245,31 @@ def test_batched_correlation_equals_np_corrcoef(m, rows, top, data_seed,
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@settings(max_examples=150, deadline=None)
+@given(m=st.one_of(st.integers(2, 60), st.integers(61, 2048)),
+       top=st.sampled_from([1, 3, 300, 2**40]),
+       data_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_axis_statistics_equal_the_per_resample_calls(m, top, data_seed,
+                                                      data):
+    """The slope bootstraps' statistics over a chunk of resamples, taken
+    along the last axis, equal the per-resample calls bit for bit."""
+    chunk = data.draw(st.integers(1, 4096 // m), label="chunk")
+    gen = np.random.default_rng(data_seed)
+    # few distinct values (small top) give ties and constant resamples
+    x = gen.integers(0, top, m) / 7.0
+    idx = gen.integers(0, m, (chunk, m))
+    for got, want in [
+            (np.median(x[idx], axis=-1), [np.median(x[i]) for i in idx]),
+            (x[idx].var(ddof=1, axis=-1), [x[i].var(ddof=1) for i in idx])]:
+        assert np.array_equal(got.view(np.int64),
+                              np.array(want).view(np.int64))
+
+
 @pytest.mark.parametrize("budget", [1, 7, 500, estimators._BOOT_DRAW_BUDGET])
 @settings(max_examples=25, deadline=None)
 @given(m=st.integers(4, 300), n_boot=st.integers(1, 120),
        seed=st.integers(0, 2**64 - 1), data_seed=st.integers(0, 2**32 - 1))
+@example(m=4, n_boot=1, seed=0, data_seed=337)   # the first sample is constant
 def test_bootstrap_chunks_match_the_old_loops(budget, m, n_boot, seed,
                                               data_seed):
     gen = np.random.default_rng(data_seed)
@@ -261,9 +284,15 @@ def test_bootstrap_chunks_match_the_old_loops(budget, m, n_boot, seed,
         want = _noise_comparison_loop(seed, n_boot, base, a, b)
         slopes, clamped = _bootstrap_slope_loop(seed, n_boot, log_n, samples,
                                                 lambda s: s.var(ddof=1))
-        fit = _slope_fit_or_rejection([8, 16], samples,
-                                      lambda s: s.var(ddof=1), n_boot, seed,
-                                      clamped)
+        var_fn = lambda s: s.var(ddof=1, axis=-1)    # noqa: E731
+        if min(var_fn(s) for s in samples) > 0:
+            fit = _slope_fit_or_rejection([8, 16], samples, var_fn, n_boot,
+                                          seed, clamped)
+        else:   # a constant sample: the point fit rejects it first
+            with pytest.raises(ValueError, match="^statistic is 0 at n="):
+                estimators._bootstrap_slope(0.5, [8, 16], samples, var_fn,
+                                            n_boot, seed)
+            fit = None
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     if fit is not None:
         assert np.array_equal([fit.ci_low, fit.ci_high],

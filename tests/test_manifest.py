@@ -155,8 +155,8 @@ def test_chunked_writer_matches_one_whole_table_pass(tmp_path):
     floats = np.where(i % 3 == 0, -0.0, i / 7.0)
     floats[i % 11 == 5] = np.nan
     bools = i % 2 == 0
-    mixed = [None if k % 5 == 0 else "a,b" if k % 5 == 1 else k
-             for k in range(n)]
+    mixed = [None if k % 5 == 0 else "a,b" if k % 5 == 1
+             else 'q"\r\n' if k % 5 == 2 else k for k in range(n)]
     header = ["int", "float", "bool", "mixed"]
     path = str(tmp_path / "big.csv")
     assert write_csv_atomic(path, header, [ints, floats, bools, mixed]) == n
@@ -167,8 +167,13 @@ def test_chunked_writer_matches_one_whole_table_pass(tmp_path):
         ints.tolist(), floats.tolist(), bools.tolist(), mixed))
     with open(path, "rb") as fh:
         got = fh.read()
-    assert b'"a,b"' in got and b",-0," in got and b",nan," in got
+    assert b'"a,b"' in got and b',"q""\r\n"\n' in got
+    assert b",-0," in got and b",nan," in got
     assert got == buf.getvalue().encode()
+    # csv writes a one-column row whose cell is empty as ""
+    write_csv_atomic(path, ["none"], [[None] * n])
+    with open(path, "rb") as fh:
+        assert fh.read() == b'none\n' + b'""\n' * n
 
 
 def test_failure_after_a_written_chunk_leaves_no_file(tmp_path):
