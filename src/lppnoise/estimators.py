@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -376,9 +377,14 @@ def geodesic_heatmap(p: float, n: int, replicas: int,
         raise ValueError("need at least one replica")
 
     counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for part in _per_group(lambda _, w: sum(map(geodesic_mask, w)), p,
-                           _square(n), seed, 0, replicas):
-        counts += part
+    scratch = np.empty((2, n + 1, n + 1), dtype=np.int64)
+
+    def visit(_, ws):
+        for w in ws:
+            counts[...] += geodesic_mask(w, scratch)
+
+    # visit adds each mask into counts, so the groups are run, not kept
+    deque(_per_group(visit, p, _square(n), seed, 0, replicas), maxlen=0)
     return HeatmapResult(p, n, replicas, counts, seed)
 
 
@@ -438,20 +444,31 @@ def transversal_exponent(p: float, n_list, replicas: int, seed: int,
     return TransversalResult(p, fit, replicas, seed)
 
 
+def _reach(n: int) -> np.ndarray:
+    """The envelope's bound min(k, 2n - k)^(3/4) on |v2 - v1|, for each
+    antidiagonal v1 + v2 = k, k = 0..2n."""
+    k = np.arange(2 * n + 1)
+    return np.minimum(k, 2 * n - k).astype(float) ** 0.75
+
+
 def envelope_frequencies(p: float, n: int, widths, replicas: int,
                          seed: int) -> list[tuple[int, EstimateWithCI]]:
     """P(the whole geodesic set stays in the antidiagonal envelope
     |v2 - v1| <= min(|v|_1, 2n - |v|_1)^(3/4) + width)."""
+    if replicas < 1:
+        raise ValueError("need at least one replica")
     widths = [int(w) for w in widths]
-    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    dist = np.minimum(i + j, 2 * n - i - j).astype(float)
-    margin = np.abs(j - i) - dist ** 0.75
+    reach = _reach(n)
+    scratch = np.empty((2, n + 1, n + 1), dtype=np.int64)
 
-    # the widest margin on the geodesic set of each field; the mask holds
-    # both corners, so it is never empty
-    tops = np.concatenate([*_per_group(
-        lambda _, ws: [margin[geodesic_mask(w)].max() for w in ws], p,
-        _square(n), seed, 0, replicas)])
+    def top(w):
+        # the widest margin on the geodesic set of a field; the mask holds
+        # both corners, so it is never empty
+        i, j = geodesic_mask(w, scratch).nonzero()
+        return (np.abs(j - i) - reach[i + j]).max()
+
+    tops = np.concatenate([*_per_group(lambda _, ws: [*map(top, ws)], p,
+                                       _square(n), seed, 0, replicas)])
     return [(w, fraction_estimate(int(np.less_equal(tops, w).sum()), replicas))
             for w in widths]
 

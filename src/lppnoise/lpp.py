@@ -15,7 +15,10 @@ also run over a ``(K, n1, n2)`` stack of fields at once; the last three
 keep only O(width) memory per field.
 
 ``geodesic_mask`` gives the exact geodesic set as a vertex mask from the
-forward and backward tables.  A path leaves row i once, through an edge
+forward and backward tables, folding ``F + B - w`` into the forward
+table in place, so a field's mask holds two tables and no third for the
+sum; a caller may pass one scratch pair for both tables and reuse it
+for every field.  A path leaves row i once, through an edge
 (i, j) -> (i+1, j) scoring ``F[i, j] + B[i+1, j]``, whose maximum over j
 is T.  The upmost geodesic leaves each row at its last maximum and the
 downmost at its first (``geodesic_report``; ``upmost_span`` for one row).
@@ -84,14 +87,18 @@ def _table_rows(w: np.ndarray):
             yield cur
 
 
+def _fill_forward(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # the forward table of w, written into f whatever it held
+    for i, row in enumerate(_table_rows(w)):
+        f[..., i, :] = row
+    return f
+
+
 def forward_table(w: np.ndarray) -> np.ndarray:
     """F[..., i, j] = travel time from (0, 0) to (i, j), for a field or a
     ``(K, n1, n2)`` stack."""
     w = _check_weights(w, stack=True)
-    f = np.empty_like(w)
-    for i, row in enumerate(_table_rows(w)):
-        f[..., i, :] = row
-    return f
+    return _fill_forward(w, np.empty_like(w))
 
 
 def backward_table(w: np.ndarray) -> np.ndarray:
@@ -150,16 +157,27 @@ def _path(exits: np.ndarray, n2: int) -> np.ndarray:
     return np.stack((rows, np.arange(rows.size) - rows), axis=1)
 
 
-def _on_geodesic(f: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # the best path through (i, j) scores F + B - w; it is a geodesic iff
-    # that equals the travel time
-    return (f + b - w) == f[-1, -1]
+def _fold_mask(f: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The geodesic set from the tables F and B of ``w``, folding F + B - w
+    into ``f`` in place: the best path through (i, j) scores F + B - w,
+    and (i, j) is on a geodesic iff that equals the travel time."""
+    t = f[-1, -1]
+    f += b
+    f -= w
+    return f == t
 
 
-def geodesic_mask(w: np.ndarray) -> np.ndarray:
-    """``mask[i, j]`` is true iff (i, j) lies on at least one geodesic."""
+def geodesic_mask(w: np.ndarray, scratch=None) -> np.ndarray:
+    """``mask[i, j]`` is true iff (i, j) lies on at least one geodesic.
+
+    ``scratch``, if given, is a ``(2, n1, n2)`` int64 array, overwritten
+    with F and B: a loop that passes one for every field allocates no
+    table per field."""
     w = _check_weights(w)
-    return _on_geodesic(forward_table(w), backward_table(w), w)
+    f, b = np.empty((2, *w.shape), np.int64) if scratch is None else scratch
+    _fill_forward(w, f)
+    _fill_forward(w[::-1, ::-1], b[::-1, ::-1])   # B through a reversed view
+    return _fold_mask(f, b, w)
 
 
 def geodesic_report(w: np.ndarray) -> GeodesicReport:
@@ -167,7 +185,8 @@ def geodesic_report(w: np.ndarray) -> GeodesicReport:
     w = _check_weights(w)
     f, b = forward_table(w), backward_table(w)
     s = f[:-1] + b[1:]                  # crossing scores of rows 0..n1-2
-    return GeodesicReport(int(f[-1, -1]), _on_geodesic(f, b, w),
+    value = int(f[-1, -1])
+    return GeodesicReport(value, _fold_mask(f, b, w),
                           _path(_last_argmax(s), w.shape[1]),
                           _path(np.argmax(s, axis=1), w.shape[1]))
 

@@ -523,6 +523,49 @@ def test_two_chunk_heatmap_bytes_are_pinned(tmp_path, seed):
     assert got == TWO_CHUNK_HEATMAP_SHA256[seed]
 
 
+# SHA-256 of the CSV and summary of geodesic-set statistics on fields of
+# 257 x 257 sites, which one decode cuts into two strips, recorded from
+# the implementation that built fresh forward, backward and F + B tables
+# for each field and a full grid of envelope margins
+TWO_STRIP_COMMANDS = {
+    "transversal": ["--p", "0.5", "--n", "64", "--n", "128", "--n", "256",
+                    "--replicas", "16", "--envelope-width", "0",
+                    "--envelope-width", "8"],
+    "geodesic-heatmap": ["--p", "0.5", "--n", "256", "--replicas", "2"],
+}
+TWO_STRIP_SHA256 = {
+    ("transversal", 5): (
+        "8b761f341560ee9e436908067c8dd798541af887c9671177b903be0a13c7e99d",
+        "becde7eacf75bb7fa3a757656611acf82acd0edae0b992f4c6638eedd5af006d"),
+    ("transversal", 606): (
+        "8eacb051de63ae65d7bd148c506ac648e4540897fe51884710d36a0c91308e60",
+        "689cecfb3b9afe243132c8f788e04396454f3b0b427ed8d27e36b8c1ed9301d5"),
+    ("transversal", 70707): (
+        "31d5e4dac89df5ce7f720d1ab8fe287fe51191e03a3af2dc1116d779608a3d29",
+        "a04b49fd40f7173c221ae449b8ee68fe3c1448da56296d177ca97108f801b205"),
+    ("geodesic-heatmap", 5): (
+        "ee39713aa0b6613ea22a73ec43014df1c5b3f0aaf021b21cd1d327abbc9da6c0",
+        "ebf49a361f5cb0e0883650d446ee692146aec12ff6f48373fd156cb8d5820337"),
+    ("geodesic-heatmap", 606): (
+        "a5f086282af728e2ff9dedbbfe56a7c7c0f8c1846e9751c418cc8ba35a2adb62",
+        "8fae52a7a7dc54f002b8dbc4adfd81d9a4205016aefc6015b29b95c813e2272d"),
+    ("geodesic-heatmap", 70707): (
+        "65396310111290e3cd7664c0980cf7e328981c954bc6f4f9e24ebe1af19a5f50",
+        "59e0f0c582b455be4a0b8147a6358c44b60fc797f44f43dde98e3896f175a982"),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(TWO_STRIP_SHA256))
+def test_two_strip_geodesic_set_bytes_are_pinned(tmp_path, name, seed):
+    res = _invoke([name, *TWO_STRIP_COMMANDS[name], "--seed", str(seed),
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    stem = name.replace("-", "_")
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in (f"{stem}.csv", f"{stem}_summary.json"))
+    assert got == TWO_STRIP_SHA256[name, seed]
+
+
 # SHA-256 of the CSV and summary of the field and stationary dumps and
 # the stationary checks, recorded from the implementation that joined
 # each whole CSV table in memory before writing it

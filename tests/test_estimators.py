@@ -920,6 +920,44 @@ def test_envelope_frequencies_increase_with_width():
     assert all(0 <= f <= 1 for f in fracs)
 
 
+@pytest.mark.parametrize("experiment", [
+    lambda: envelope_frequencies(0.5, 8, (0,), replicas=0, seed=1),
+    lambda: geodesic_heatmap(0.5, 8, replicas=0, seed=1)])
+def test_geodesic_set_statistics_need_a_replica(experiment):
+    with pytest.raises(ValueError, match="at least one replica"):
+        experiment()
+
+
+@pytest.mark.parametrize("p", [0.5, 0.95])
+def test_envelope_holds_two_tables_per_call(p):
+    # fresh F, B and F + B per field and four n x n grids peaked near 8.1
+    # tables; one scratch pair for every field and a per-antidiagonal
+    # bound peak near 5.1, also at p = 0.95, where most weights are 0 and
+    # ties widen the geodesic set (about 1,600 of 257^2 vertices)
+    table = 257 ** 2 * 8
+    tracemalloc.start()
+    try:
+        rows = envelope_frequencies(p, 256, [0, 4], 2, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [w for w, _ in rows] == [0, 4]
+    assert peak < 6 * table
+
+
+def test_reach_margin_equals_the_grid_margin():
+    """The per-antidiagonal bound gives the margin that a full n x n grid
+    of distances did, bit for bit, at every vertex."""
+    for n in [*range(2, 201), 256, 400, 512]:
+        i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        dist = np.minimum(i + j, 2 * n - i - j).astype(float)
+        grid = np.abs(j - i) - dist ** 0.75
+        i, j = np.ones((n + 1, n + 1), dtype=bool).nonzero()
+        margin = np.abs(j - i) - estimators._reach(n)[i + j]
+        assert np.array_equal(margin.view(np.int64),
+                              grid.ravel().view(np.int64)), n
+
+
 # ------------------------------------------------------- coupled comparison
 
 def test_noise_comparison_t0_is_exactly_one():

@@ -140,6 +140,20 @@ def test_member_mask_matches_enumeration(small_fields):
         assert np.array_equal(geodesic_mask(w), mask)
 
 
+def test_geodesic_mask_reuses_garbage_scratch(small_fields):
+    # one scratch pair per shape, filled with garbage once and then
+    # reused by every field of that shape
+    rng = np.random.default_rng(3)
+    scratch = {}
+    for w in small_fields:
+        pair = scratch.setdefault(w.shape, rng.integers(
+            -2 ** 62, 2 ** 62, size=(2, *w.shape)))
+        mask = geodesic_mask(w, pair)
+        assert np.array_equal(mask, brute_geodesics(w)[2])
+        assert np.array_equal(mask, geodesic_mask(w))
+    assert len(scratch) < len(small_fields)
+
+
 def test_extreme_geodesics_are_extreme(small_fields):
     for w in small_fields[:25]:
         value, paths, _ = brute_geodesics(w)
