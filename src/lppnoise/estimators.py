@@ -78,7 +78,6 @@ class EstimateWithCI:
     ci_high: float
     replicas: int
     degenerate: bool = False
-    seed: int | None = None
 
 
 def mean_estimate(samples: np.ndarray) -> EstimateWithCI:

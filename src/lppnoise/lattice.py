@@ -112,10 +112,6 @@ class Rect:
     def shape(self) -> tuple[int, int]:
         return (self.hi[0] - self.lo[0] + 1, self.hi[1] - self.lo[1] + 1)
 
-    def contains(self, v: tuple[int, int]) -> bool:
-        return (self.lo[0] <= v[0] <= self.hi[0]
-                and self.lo[1] <= v[1] <= self.hi[1])
-
     def coord_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Absolute coordinates of all sites, shaped like the field array."""
         xs, ys = _open_grid(self)

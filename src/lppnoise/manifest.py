@@ -194,10 +194,6 @@ class RunManifest:
     def finish(self) -> None:
         self.finished_at = datetime.now(timezone.utc).isoformat()
 
-    @property
-    def all_passed(self) -> bool:
-        return all(rec.passed for rec in self.experiments)
-
     def as_dict(self) -> dict:
         return {
             "tool_version": self.tool_version,

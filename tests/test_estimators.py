@@ -698,7 +698,7 @@ def bit_influence_on_Tn(p, n, v, i, replicas, seed):
     a site outside the rectangle has exact influence 0."""
     if i < 0:
         raise ValueError(f"bit index must be >= 0, got {i}")
-    if not Rect((0, 0), (n, n)).contains(v):
+    if not (0 <= v[0] <= n and 0 <= v[1] <= n):
         return EstimateWithCI(0.0, 0.0, 0.0, 0.0, replicas)
     samples, _ = estimators._influence_rows(p, n, [v], i, replicas, seed)
     return mean_estimate(samples[:, 0, i])

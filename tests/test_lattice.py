@@ -225,7 +225,6 @@ def test_validation_errors():
 def test_rect_helpers():
     r = Rect((-1, 2), (3, 4))
     assert r.shape == (5, 3)
-    assert r.contains((0, 3)) and not r.contains((4, 3))
     gx, gy = r.coord_grids()
     assert gx[0, 0] == -1 and gy[0, 0] == 2 and gx[-1, -1] == 3 and gy[-1, -1] == 4
 
