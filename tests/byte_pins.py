@@ -1,8 +1,9 @@
 """The byte-contract corpus: SHA-256 digests of every output file of
 pinned command lines, per seed, kept in ``byte_pins.json``.
 
-Each entry has a unique ``label``, the ``argv`` (starting with the
-experiment name, or ``run`` plus a ``config`` object for a batch), a
+Each entry names the ``test`` in ``test_cli.py`` that checks it and a
+``label`` unique within that test, and has the ``argv`` (starting with
+the experiment name, or ``run`` plus a ``config`` object for a batch), a
 one-line provenance ``note`` and ``seeds``: seed -> {output file name ->
 SHA-256}. ``manifest.json`` holds timestamps and is not pinned.
 
@@ -13,7 +14,8 @@ newline), so an unchanged tree leaves it byte-identical::
     PYTHONPATH=<tree>/src python3 tests/byte_pins.py
 
 To pin a new command line, add its entry with empty digest maps
-(``"seeds": {"5": {}, ...}``) and run this on the parent tree.
+(``"seeds": {"5": {}, ...}``) and run this on the parent tree; a new
+``test`` name needs its function in ``test_cli.py``.
 """
 
 import hashlib
@@ -31,9 +33,9 @@ CORPUS = Path(__file__).with_name("byte_pins.json")
 
 def load() -> list[dict]:
     entries = json.loads(CORPUS.read_text())
-    labels = [e["label"] for e in entries]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"{CORPUS.name}: labels are not unique")
+    keys = [(e["test"], e["label"]) for e in entries]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"{CORPUS.name}: labels are not unique per test")
     return entries
 
 
@@ -63,8 +65,8 @@ def record() -> None:
                 argv = command(entry, seed, Path(tmp))
                 res = CliRunner().invoke(main, argv, catch_exceptions=False)
                 if res.exit_code != 0:
-                    sys.exit(f"{entry['label']} at seed {seed} exited "
-                             f"{res.exit_code}: {res.output}")
+                    sys.exit(f"{entry['test']}[{entry['label']}] at seed "
+                             f"{seed} exited {res.exit_code}: {res.output}")
                 entry["seeds"][seed] = digests(Path(tmp) / "out")
     CORPUS.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
 

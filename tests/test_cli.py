@@ -264,12 +264,19 @@ def test_dump_geodesic_bytes_match_per_site_reference(tmp_path, n, seed):
 
 # The byte contract: every pinned command line of byte_pins.json, at
 # each of its seeds, must write output files with the recorded SHA-256.
+# Each entry names the test below that checks it; a test's ids are
+# <label>-<seed>, or the seed alone when it checks one command line.
 # CSVs are checked before summaries and reported apart, since summary
 # floats can take their last bits from the CPU's numpy and BLAS kernels.
-@pytest.mark.parametrize("entry,seed", [
-    pytest.param(entry, seed, id=f"{entry['label']}-{seed}")
-    for entry in byte_pins.load() for seed in entry["seeds"]])
-def test_output_bytes_are_pinned(tmp_path, entry, seed):
+def _pinned(test):
+    entries = [e for e in byte_pins.load() if e["test"] == test.__name__]
+    return pytest.mark.parametrize("entry,seed", [
+        pytest.param(entry, seed, id=f"{entry['label']}-{seed}"
+                     if len(entries) > 1 else seed)
+        for entry in entries for seed in entry["seeds"]])(test)
+
+
+def _check_pinned_bytes(tmp_path, entry, seed):
     res = _invoke(byte_pins.command(entry, seed, tmp_path))
     assert res.exit_code == 0, res.output
     got = byte_pins.digests(tmp_path / "out")
@@ -280,6 +287,52 @@ def test_output_bytes_are_pinned(tmp_path, entry, seed):
 
     assert csvs(got) == csvs(want), "CSV bytes differ from the corpus"
     assert got == want, "summary bytes differ from the corpus (CSVs match)"
+
+
+@_pinned
+def test_dump_geodesic_bytes_are_pinned(tmp_path, entry, seed):
+    _check_pinned_bytes(tmp_path, entry, seed)
+
+
+@_pinned
+def test_exact_experiment_bytes_are_pinned(tmp_path, entry, seed):
+    _check_pinned_bytes(tmp_path, entry, seed)
+
+
+@_pinned
+def test_draw_experiment_bytes_are_pinned(tmp_path, entry, seed):
+    _check_pinned_bytes(tmp_path, entry, seed)
+
+
+@_pinned
+def test_replica_loop_experiment_bytes_are_pinned(tmp_path, entry, seed):
+    _check_pinned_bytes(tmp_path, entry, seed)
+
+
+@_pinned
+def test_two_chunk_heatmap_bytes_are_pinned(tmp_path, entry, seed):
+    _check_pinned_bytes(tmp_path, entry, seed)
+
+
+@_pinned
+def test_two_strip_geodesic_set_bytes_are_pinned(tmp_path, entry, seed):
+    _check_pinned_bytes(tmp_path, entry, seed)
+
+
+@_pinned
+def test_dump_and_stationary_bytes_are_pinned(tmp_path, entry, seed):
+    _check_pinned_bytes(tmp_path, entry, seed)
+
+
+@_pinned
+def test_run_batch_bytes_are_pinned(tmp_path, entry, seed):
+    _check_pinned_bytes(tmp_path, entry, seed)
+
+
+def test_every_corpus_entry_has_its_pin_test():
+    tests = {name for name in globals()
+             if name.startswith("test_") and name.endswith("_bytes_are_pinned")}
+    assert {e["test"] for e in byte_pins.load()} == tests
 
 
 def test_every_command_is_pinned_at_three_seeds():
