@@ -27,7 +27,7 @@ from .estimators import (antidiagonal_frequencies, antidiagonal_offset,
                          noise_comparison, rw_nonneg_bound,
                          sandwich_experiment, transversal_exponent,
                          variance_scaling, visit_vs_influence, walk_spec)
-from .lattice import NoiseKind, Rect, WeightConfig, noisy_stack, weights
+from .lattice import NoiseKind, Rect, noisy_group, weights
 from .lpp import geodesic_report
 from .manifest import (ExperimentRecord, RunManifest, write_csv_atomic,
                        write_json_atomic)
@@ -247,15 +247,14 @@ def _run_variance_scaling(q, seed, rec):
                                   "these widths.")))
 def _run_transversal(q, seed, rec):
     """Slope of the upmost geodesic's midline deviation against n."""
-    res = transversal_exponent(q["p"], q["n_list"], q["replicas"], seed,
+    fit = transversal_exponent(q["p"], q["n_list"], q["replicas"], seed,
                                q["n_boot"])
-    summary = _slope_summary(res.fit)
+    summary = _slope_summary(fit)
     if q["envelope_widths"] is not None:
         env = envelope_frequencies(q["p"], max(q["n_list"]),
                                    q["envelope_widths"], q["replicas"], seed)
         summary["envelope"] = {str(w): _estimate_dict(e) for w, e in env}
-    return ["n", "median_deviation"], [res.fit.scales, res.fit.statistic], \
-        summary
+    return ["n", "median_deviation"], [fit.scales, fit.statistic], summary
 
 
 @_experiment("geodesic-heatmap", _P,
@@ -510,13 +509,14 @@ def _run_dump_field(q, seed, rec):
         raise ConfigError('invalid value for "lo"/"hi" in dump-field: '
                           "region too large to dump")
     kind = _parse_kind(q["kind"], "dump-field")
-    cfg = WeightConfig(q["p"], seed, region)
-    w = weights(cfg)
-    header = ["x1", "x2", "weight"]
-    cols = [g.ravel() for g in region.coord_grids()] + [w.ravel()]
-    if q["t"] is not None:
-        cols.append(noisy_stack(cfg, (q["t"],), kind)[0].ravel())
-        header.append("noisy_weight")
+    if q["t"] is None:
+        fields = [weights(q["p"], seed, region)]
+    else:   # the field and its partner from one scan
+        fields = noisy_group(q["p"], (seed,), region, (0.0, q["t"]),
+                             kind)[:, 0]
+    w = fields[0]
+    header = ["x1", "x2", "weight", "noisy_weight"][:2 + len(fields)]
+    cols = [g.ravel() for g in (*region.coord_grids(), *fields)]
     return header, cols, {"shape": list(w.shape), "total_weight": int(w.sum())}
 
 
@@ -525,7 +525,7 @@ def _run_dump_field(q, seed, rec):
 def _run_dump_geodesic(q, seed, rec):
     """Dump the geodesic set and extreme paths of one field."""
     n = q["n"]
-    w = weights(WeightConfig(q["p"], seed, Rect((0, 0), (n, n))))
+    w = weights(q["p"], seed, Rect((0, 0), (n, n)))
     rep = geodesic_report(w)
     on_path = np.zeros((2,) + w.shape, dtype=np.int64)
     for k, geo in enumerate((rep.upmost, rep.downmost)):
@@ -678,6 +678,9 @@ def run_cmd(config, seed, out) -> None:
                 raise ConfigError(f'invalid value for "seed" in experiment '
                                   f"#{k}: expected an integer")
             plan.append((k, name, params, sub_seed))
+        # every entry's schema, before any experiment runs or writes
+        for _, name, params, _ in plan:
+            _parse(name, _EXPERIMENTS[name].fields, params)
 
         manifest = RunManifest(tool_version=__version__, master_seed=master,
                                config_echo=doc)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
-                      coupled_cap, coupled_group, noisy_group, replica_groups,
-                      scan_cap, site_bits, weight_group, weights)
+from .lattice import (NoiseKind, Rect, RngIntegrityError, coupled_cap,
+                      coupled_group, noisy_group, replica_groups, scan_cap,
+                      site_bits, weight_group, weights)
 from .lpp import (backward_table, forward_table, geodesic_mask, last_row,
                   travel_time, upmost_span)
 from .rng import Stream, derive_seed, hash_array, hash_cuts
@@ -44,7 +44,6 @@ __all__ = [
     "diagonal_scaled_frequency",
     "antidiagonal_offset",
     "antidiagonal_frequencies",
-    "TransversalResult",
     "transversal_exponent",
     "envelope_frequencies",
     "WalkSpec",
@@ -184,13 +183,9 @@ def _per_group(stat, p: float, region: Rect, seed: int, first: int,
 
 @dataclass(frozen=True)
 class CorrDecayResult:
-    p: float
-    n: int
-    kind: NoiseKind
     t_values: tuple[float, ...]
     estimates: tuple[EstimateWithCI, ...]
-    replicas: int
-    seed: int
+    seed: int                 # corr_difference_ci's bootstrap seed
     # per-replica travel times: column 0 the base field, then one
     # column per noise time (common random numbers)
     samples: np.ndarray = None
@@ -274,7 +269,7 @@ def corr_decay(p: float, n: int, t_values, kind: NoiseKind, replicas: int,
                                        replicas, noisy_group, times, kind)])
     ests = tuple(pearson_estimate(rows[:, 0], rows[:, 1 + k])
                  for k in range(len(t_values)))
-    return CorrDecayResult(p, n, kind, t_values, ests, replicas, seed, rows)
+    return CorrDecayResult(t_values, ests, seed, rows)
 
 
 # ------------------------------------------------------------ exponent fits
@@ -289,7 +284,6 @@ class ExponentFit:
     slope: float
     ci_low: float
     ci_high: float
-    n_boot: int
 
 
 def _scale_samples(p: float, n_list, replicas: int, seed: int, stack_stat):
@@ -335,16 +329,13 @@ def _bootstrap_slope(p: float, n_list: list[int], samples: list[np.ndarray],
     boots = _bootstrap(seed, n_boot, [s.size for s in samples], refit)
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return ExponentFit(tuple(n_list), tuple(point), slope, float(lo),
-                       float(hi), n_boot)
+                       float(hi))
 
 
 @dataclass(frozen=True)
 class VarianceScalingResult:
-    p: float
     fit: ExponentFit
     means_over_n: tuple[float, ...]
-    replicas: int
-    seed: int
 
 
 def variance_scaling(p: float, n_list, replicas: int, seed: int,
@@ -355,18 +346,16 @@ def variance_scaling(p: float, n_list, replicas: int, seed: int,
                            lambda s: s.var(ddof=1, axis=-1), n_boot,
                            derive_seed(seed, Stream.GENERIC, 10**6))
     means = tuple(float(s.mean() / n) for s, n in zip(samples, n_list))
-    return VarianceScalingResult(p, fit, means, replicas, seed)
+    return VarianceScalingResult(fit, means)
 
 
 # ------------------------------------------------------------- geodesic maps
 
 @dataclass(frozen=True)
 class HeatmapResult:
-    p: float
     n: int
     replicas: int
     counts: np.ndarray
-    seed: int
 
 
 def geodesic_heatmap(p: float, n: int, replicas: int,
@@ -384,7 +373,7 @@ def geodesic_heatmap(p: float, n: int, replicas: int,
 
     # visit adds each mask into counts, so the groups are run, not kept
     deque(_per_group(visit, p, _square(n), seed, 0, replicas), maxlen=0)
-    return HeatmapResult(p, n, replicas, counts, seed)
+    return HeatmapResult(n, replicas, counts)
 
 
 def diagonal_scaled_frequency(hm: HeatmapResult) -> float:
@@ -412,14 +401,6 @@ def antidiagonal_frequencies(hm: HeatmapResult, s_values) -> list[tuple[float, f
     return out
 
 
-@dataclass(frozen=True)
-class TransversalResult:
-    p: float
-    fit: ExponentFit
-    replicas: int
-    seed: int
-
-
 def _span_deviation(w: np.ndarray) -> np.ndarray:
     """max |x2 - n/2| over the upmost geodesic's points on x1 = n/2, for
     each field of a stack: the span's ends are the extreme points."""
@@ -429,7 +410,7 @@ def _span_deviation(w: np.ndarray) -> np.ndarray:
 
 
 def transversal_exponent(p: float, n_list, replicas: int, seed: int,
-                         n_boot: int = 1000) -> TransversalResult:
+                         n_boot: int = 1000) -> ExponentFit:
     """Median midline deviation of the upmost geodesic against n.
 
     The statistic at scale n is max |x2 - n/2| over the points of the
@@ -437,10 +418,9 @@ def transversal_exponent(p: float, n_list, replicas: int, seed: int,
     """
     n_list, samples = _scale_samples(p, n_list, replicas, seed,
                                      _span_deviation)
-    fit = _bootstrap_slope(p, n_list, samples,
-                           lambda s: np.median(s, axis=-1), n_boot,
-                           derive_seed(seed, Stream.GENERIC, 10**6 + 1))
-    return TransversalResult(p, fit, replicas, seed)
+    return _bootstrap_slope(p, n_list, samples,
+                            lambda s: np.median(s, axis=-1), n_boot,
+                            derive_seed(seed, Stream.GENERIC, 10**6 + 1))
 
 
 def _reach(n: int) -> np.ndarray:
@@ -537,13 +517,10 @@ _WALK_DRAW_BUDGET = 2**16
 
 @dataclass(frozen=True)
 class RwBoundReport:
-    spec: WalkSpec
     n_steps: int
     bound: float
     q_hat: EstimateWithCI
     exact: float | None
-    replicas: int
-    seed: int
 
 
 def rw_nonneg_bound(spec: WalkSpec, n_list, replicas: int,
@@ -622,9 +599,8 @@ def rw_nonneg_bound(spec: WalkSpec, n_list, replicas: int,
         if set(spec.values) <= {-1, 1} and n_steps <= 24:
             exact = rw_exact_nonneg(spec, n_steps)
         reports.append(RwBoundReport(
-            spec, n_steps, float(bound),
-            fraction_estimate(hits[n_steps], replicas), exact, replicas,
-            seed))
+            n_steps, float(bound), fraction_estimate(hits[n_steps], replicas),
+            exact))
     return reports
 
 
@@ -632,17 +608,12 @@ def rw_nonneg_bound(spec: WalkSpec, n_list, replicas: int,
 
 @dataclass(frozen=True)
 class SandwichReport:
-    p: float
-    v: tuple[int, int]
-    s: float
     k: int
     lam_minus: float
     lam_plus: float
     lam_hat_plus: float
     frequency: EstimateWithCI
     y_mean: EstimateWithCI
-    replicas: int
-    seed: int
 
 
 def sandwich_experiment(p: float, v: tuple[int, int], s: float, replicas: int,
@@ -696,7 +667,7 @@ def sandwich_experiment(p: float, v: tuple[int, int], s: float, replicas: int,
         # weight at w - (i, j); its V-increments at the hat column w1 - 1
         # give the upper bounds on -Delta'_j
         bulk_hat = np.zeros((w1, w2 + k + 2), dtype=np.int64)
-        bulk_hat[1:, 1:] = weights(WeightConfig(p, sub, hat))[::-1, ::-1]
+        bulk_hat[1:, 1:] = weights(p, sub, hat)[::-1, ::-1]
         inc_hat = np.diff(last_row(_boundary_grid(
             lambda_params(p, lam_hat_plus), (w1 - 1, w2 + k + 1),
             derive_seed(sub, Stream.GENERIC, 3), bulk=bulk_hat)))
@@ -709,21 +680,19 @@ def sandwich_experiment(p: float, v: tuple[int, int], s: float, replicas: int,
                                        lo, seed, 0, replicas) for row in part]
     freq = fraction_estimate(sum(ok for ok, _ in rows), replicas)
     y_mean = mean_estimate(np.array([ym for _, ym in rows]))
-    return SandwichReport(p, (v1, v2), s, k, lam_minus, lam_plus, lam_hat_plus,
-                          freq, y_mean, replicas, seed)
+    return SandwichReport(k, lam_minus, lam_plus, lam_hat_plus, freq, y_mean)
 
 
 # ----------------------------------------------- bit influences on T_n
 
-def _next_weight(cfg: WeightConfig, v: tuple[int, int], w_v: int) -> int:
+def _next_weight(p: float, seed: int, v: tuple[int, int], w_v: int) -> int:
     """The site's weight after forcing its first one, bit ``w_v``, to 0:
     the next set bit, looked for within the decode's own scan cap."""
-    cap = scan_cap(cfg.p)
-    later = np.flatnonzero(site_bits(cfg, v, cap)[w_v + 1:])
+    cap = scan_cap(p)
+    later = np.flatnonzero(site_bits(p, seed, v, cap)[w_v + 1:])
     if not later.size:
         raise RngIntegrityError(
-            f"bit scan at p={cfg.p} exceeded {cap} rounds; keyed stream "
-            "damaged")
+            f"bit scan at p={p} exceeded {cap} rounds; keyed stream damaged")
     return w_v + 1 + int(later[0])
 
 
@@ -743,7 +712,9 @@ def _influence_rows(p: float, n: int, v_list, i_max: int, replicas: int,
 
     def group_rows(group, w):
         # the best path through each vertex; (0, 0) is on every path
-        through = forward_table(w) + backward_table(w) - w
+        through = forward_table(w)
+        through += backward_table(w)
+        through -= w
         total = through[:, 0, 0]
         samp = np.empty((len(group), len(v_list), bits.size))
         hit = np.empty((len(group), len(v_list)), dtype=bool)
@@ -764,8 +735,8 @@ def _influence_rows(p: float, n: int, v_list, i_max: int, replicas: int,
             up = np.minimum(w_v[:, None], bits)
             down = np.repeat(w_v[:, None], bits.size, axis=1)
             for r in np.flatnonzero(w_v <= i_max):
-                cfg = WeightConfig(p, group[r], region)
-                down[r, w_v[r]] = _next_weight(cfg, (v1, v2), int(w_v[r]))
+                down[r, w_v[r]] = _next_weight(p, group[r], (v1, v2),
+                                               int(w_v[r]))
             base_path = base_path[:, None]
             mean_flip = (p * np.maximum(t_avoid, base_path + up)
                          + (1.0 - p) * np.maximum(t_avoid, base_path + down))
@@ -874,9 +845,6 @@ def covariance_monotonicity_bruteforce(probs: list, f_vals: np.ndarray,
 
 @dataclass(frozen=True)
 class NoiseComparisonReport:
-    p: float
-    n: int
-    t: float
     cap: int
     corr_bit: EstimateWithCI
     corr_site: EstimateWithCI
@@ -884,8 +852,6 @@ class NoiseComparisonReport:
     cov_capped_bit: float
     cov_capped_site: float
     cap_gap_fraction: float
-    replicas: int
-    seed: int
 
 
 def noise_comparison(p: float, n: int, t: float, replicas: int,
@@ -930,6 +896,5 @@ def noise_comparison(p: float, n: int, t: float, replicas: int,
         return float(np.cov(a, b, ddof=1)[0, 1])
     var0 = float(t0.var(ddof=1))
     gap = abs(cov(t0, tb) - cov(t0c, tbc)) / var0 if var0 > 0 else 0.0
-    return NoiseComparisonReport(p, n, t, cap, corr_bit, corr_site, corr_diff,
-                                 cov(t0c, tbc), cov(t0c, tsc), gap,
-                                 replicas, seed)
+    return NoiseComparisonReport(cap, corr_bit, corr_site, corr_diff,
+                                 cov(t0c, tbc), cov(t0c, tsc), gap)

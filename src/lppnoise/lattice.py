@@ -56,8 +56,8 @@ strips of equal rows, which keeps a scan's temporaries in cache (loop
 blocking: Lam, Rothberg & Wolf, ASPLOS 1991).  Against one decode of the
 whole field, strips took 12% off the variance and transversal runs at
 n = 64...512 and 8 MB off their peak memory (2 cores, 10 alternating
-pairs); fields of 40-45k sites stay whole.  ``weights`` and
-``noisy_stack`` are the one-seed case of the group decoders.
+pairs); fields of 40-45k sites stay whole.  ``weights`` is the
+one-seed case of ``weight_group``.
 """
 
 from __future__ import annotations
@@ -74,13 +74,11 @@ __all__ = [
     "scan_cap",
     "RngIntegrityError",
     "Rect",
-    "WeightConfig",
     "NoiseKind",
     "replica_groups",
     "weight_group",
     "weights",
     "noisy_group",
-    "noisy_stack",
     "coupled_group",
     "coupled_cap",
     "site_bits",
@@ -116,18 +114,6 @@ class Rect:
         """Absolute coordinates of all sites, shaped like the field array."""
         xs, ys = _open_grid(self)
         return np.meshgrid(xs.ravel(), ys.ravel(), indexing="ij")
-
-
-@dataclass(frozen=True)
-class WeightConfig:
-    """A geometric weight field: parameter, master seed and region."""
-
-    p: float
-    seed: int
-    region: Rect
-
-    def __post_init__(self) -> None:
-        _check_p(self.p)
 
 
 def _check_p(p: float) -> None:
@@ -280,9 +266,10 @@ def weight_group(p: float, seeds, region: Rect) -> np.ndarray:
                       seeds, region)
 
 
-def weights(cfg: WeightConfig) -> np.ndarray:
-    """The full weight array of the region, decoded from the bit streams."""
-    return weight_group(cfg.p, (cfg.seed,), cfg.region)[0]
+def weights(p: float, seed: int, region: Rect) -> np.ndarray:
+    """The weight field of ``seed`` on ``region``, decoded from the bit
+    streams."""
+    return weight_group(p, (seed,), region)[0]
 
 
 def noisy_group(p: float, seeds, region: Rect, t_values,
@@ -315,12 +302,6 @@ def noisy_group(p: float, seeds, region: Rect, t_values,
         return np.where(rung, repl, base)
 
     return _by_strips(site, seeds, region)
-
-
-def noisy_stack(cfg: WeightConfig, t_values, kind: NoiseKind) -> np.ndarray:
-    """The ``(len(t_values), n1, n2)`` stack of the ``kind`` partners of
-    one field at every t (``noisy_group`` for one seed)."""
-    return noisy_group(cfg.p, (cfg.seed,), cfg.region, t_values, kind)[:, 0]
 
 
 def coupled_group(p: float, seeds, region: Rect, t: float,
@@ -356,13 +337,13 @@ def coupled_cap(n: int, p: float) -> int:
     """Cap M with ``n**2 * (1-p)**M <= n**-3``: M = ceil(5 ln n / ln 1/(1-p))."""
     if n < 2:
         raise ValueError(f"cap needs n >= 2, got {n}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
+    _check_p(p)
     return int(np.ceil(5.0 * np.log(n) / -np.log1p(-p)))
 
 
-def site_bits(cfg: WeightConfig, v: tuple[int, int], count: int) -> np.ndarray:
+def site_bits(p: float, seed: int, v: tuple[int, int],
+              count: int) -> np.ndarray:
     """First ``count`` encoding bits of one site (for bit-level surgery)."""
+    _check_p(p)
     idx = np.arange(count, dtype=np.int64)
-    return bernoulli_at(key_prefix(cfg.seed, Stream.BIT_X, v[0], v[1]), idx,
-                        cfg.p)
+    return bernoulli_at(key_prefix(seed, Stream.BIT_X, v[0], v[1]), idx, p)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .lpp import forward_table, geodesic_report, GeodesicReport
 from .rng import Stream, geometric_array
-from .lattice import Rect, WeightConfig, weights
+from .lattice import Rect, weights
 
 __all__ = [
     "LAMBDA_CLAMP",
@@ -149,10 +149,9 @@ def _boundary_grid(params: LambdaParams, extent: tuple[int, int], seed: int,
                     f"bulk shape {bulk.shape} does not match grid {grid.shape}")
             grid[1:, 1:] = bulk[1:, 1:]
         else:
-            cfg = WeightConfig(params.p, seed,
-                               Rect((base[0] + 1, base[1] + 1),
-                                    (base[0] + m1, base[1] + m2)))
-            grid[1:, 1:] = weights(cfg)
+            grid[1:, 1:] = weights(params.p, seed,
+                                   Rect((base[0] + 1, base[1] + 1),
+                                        (base[0] + m1, base[1] + m2)))
     return grid
 
 

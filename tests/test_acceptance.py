@@ -194,13 +194,13 @@ def test_criterion_08_variance_and_transversal_exponents():
     assert (hi - lo) / 2.0 <= 0.15
     tr = transversal_exponent(0.5, (64, 128, 256, 512), replicas=1000,
                               seed=20250803)
-    tlo, thi = tr.fit.ci_low, tr.fit.ci_high
+    tlo, thi = tr.ci_low, tr.ci_high
     assert tlo <= 2.0 / 3.0 <= thi
     assert (thi - tlo) / 2.0 <= 0.15
     elapsed = time.time() - t0
     assert elapsed < 1200.0
     _report(8, f"Var slope {vs.fit.slope:.3f} CI [{lo:.3f}, {hi:.3f}]; "
-               f"transversal slope {tr.fit.slope:.3f} CI [{tlo:.3f}, "
+               f"transversal slope {tr.slope:.3f} CI [{tlo:.3f}, "
                f"{thi:.3f}]; both contain 2/3, half-widths <= 0.15; "
                f"{elapsed:.0f}s")
 

@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 import lppnoise
 from lppnoise import cli
 from lppnoise.cli import main
-from lppnoise.lattice import (NoiseKind, Rect, WeightConfig, noisy_stack,
-                              weights)
+from lppnoise.lattice import NoiseKind, Rect, noisy_group, weights
 from lppnoise.lpp import geodesic_report
 from lppnoise.stationary import build_stationary
 
@@ -177,7 +176,7 @@ def test_dump_field_matches_library(tmp_path):
     assert res.exit_code == 0
     lines = (tmp_path / "dump_field.csv").read_text().splitlines()
     assert lines[0] == "x1,x2,weight"
-    w = weights(WeightConfig(0.5, 11, Rect((-1, 2), (1, 4))))
+    w = weights(0.5, 11, Rect((-1, 2), (1, 4)))
     body = [ln.split(",") for ln in lines[1:]]
     assert len(body) == w.size
     for x1, x2, val in body:
@@ -236,9 +235,8 @@ def test_dump_field_bytes_match_per_site_reference(tmp_path, lo, hi, kind):
                    *map(str, hi), "--t", "0.7", "--kind", kind, "--seed",
                    "41", "--out", str(tmp_path)])
     assert res.exit_code == 0
-    cfg = WeightConfig(0.4, 41, Rect(lo, hi))
-    w = weights(cfg)
-    nw = noisy_stack(cfg, (0.7,), NoiseKind[kind])[0]
+    w = weights(0.4, 41, Rect(lo, hi))
+    nw = noisy_group(0.4, (41,), Rect(lo, hi), (0.7,), NoiseKind[kind])[0, 0]
     rows = [[lo[0] + i, lo[1] + j, int(w[i, j]), int(nw[i, j])]
             for i in range(w.shape[0]) for j in range(w.shape[1])]
     assert (tmp_path / "dump_field.csv").read_bytes() == _per_site_csv(
@@ -250,7 +248,7 @@ def test_dump_geodesic_bytes_match_per_site_reference(tmp_path, n, seed):
     res = _invoke(["dump-geodesic", "--p", "0.5", "--n", str(n), "--seed",
                    str(seed), "--out", str(tmp_path)])
     assert res.exit_code == 0
-    w = weights(WeightConfig(0.5, seed, Rect((0, 0), (n, n))))
+    w = weights(0.5, seed, Rect((0, 0), (n, n)))
     rep = geodesic_report(w)
     up = {tuple(x) for x in rep.upmost}
     down = {tuple(x) for x in rep.downmost}
@@ -473,6 +471,23 @@ def test_run_missing_required_param(tmp_path):
     res = CliRunner().invoke(main, ["run", "--config", str(cfg)])
     assert res.exit_code == 1
     assert 'missing required parameter "m" for bks-verify' in res.output
+
+
+def test_run_checks_every_entry_before_running_any(tmp_path):
+    # a valid entry 0 must not run when entry 1 fails its schema
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(
+        {"seed": 1, "output_dir": str(out), "experiments": [
+            {"name": "corr-decay", "params": {"p": 0.5, "n": 4,
+                                              "t_values": [0.5],
+                                              "replicas": 30}},
+            {"name": "bks-verify", "params": {}}]}))
+    res = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert 'missing required parameter "m" for bks-verify' in res.output
+    assert "[0]" not in res.output
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_run_rejects_unknown_param(tmp_path):

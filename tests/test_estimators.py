@@ -22,9 +22,8 @@ from lppnoise.estimators import (EstimateWithCI, corr_decay,
                                  sandwich_experiment, transversal_exponent,
                                  variance_scaling, visit_vs_influence,
                                  walk_spec)
-from lppnoise.lattice import (NoiseKind, Rect, RngIntegrityError, WeightConfig,
-                              coupled_cap, coupled_group, scan_cap, site_bits,
-                              weights)
+from lppnoise.lattice import (NoiseKind, Rect, RngIntegrityError, coupled_cap,
+                              coupled_group, scan_cap, site_bits, weights)
 from lppnoise.lpp import (backward_table, forward_table, geodesic_report,
                           travel_time)
 from lppnoise.rng import Stream, derive_seed, hash_array, uniform_array
@@ -100,9 +99,9 @@ def test_corr_decay_matches_direct_recomputation():
     p, n, t, seed = 0.5, 10, 0.7, 13
     res = corr_decay(p, n, (t,), NoiseKind.SITE, replicas=30, seed=seed)
     for r in (0, 7, 29):
-        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r),
-                           Rect((0, 0), (n, n)))
-        assert res.samples[r, 0] == travel_time(weights(cfg))
+        w = weights(p, derive_seed(seed, Stream.REPLICA, r),
+                    Rect((0, 0), (n, n)))
+        assert res.samples[r, 0] == travel_time(w)
 
 
 def test_corr_decay_validation():
@@ -306,9 +305,8 @@ def _noise_comparison_per_replica(p, n, t, replicas, seed):
     cap = coupled_cap(n, p)
     rows = []
     for r in range(replicas):
-        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r),
-                           Rect((0, 0), (n, n)))
-        fields = coupled_group(p, (cfg.seed,), cfg.region, t, cap)[:, 0]
+        fields = coupled_group(p, (derive_seed(seed, Stream.REPLICA, r),),
+                               Rect((0, 0), (n, n)), t, cap)[:, 0]
         rows.append([travel_time(f) for f in
                      np.concatenate((fields, np.minimum(fields, cap)))])
     t0, tb, ts, t0c, tbc, tsc = np.array(rows, dtype=float).T
@@ -343,8 +341,8 @@ def test_geodesic_maps_match_per_replica_loops(budget, n):
     # at n = 2, 8 of the 40 geodesic sets reach a margin of exactly 0, so
     # width 0 tells <= from <
     replicas, seed, widths = 40, 79, (0, 1, 3, 9)
-    masks = [geodesic_report(weights(WeightConfig(
-        0.5, derive_seed(seed, Stream.REPLICA, r), Rect((0, 0), (n, n)))))
+    masks = [geodesic_report(weights(
+        0.5, derive_seed(seed, Stream.REPLICA, r), Rect((0, 0), (n, n))))
         .member_mask for r in range(replicas)]
     i, j = np.indices((n + 1, n + 1))
     margin = np.abs(j - i) - np.minimum(i + j, 2 * n - i - j) ** 0.75
@@ -709,11 +707,10 @@ def _influence_oracle(p, n, v, i, replicas, seed):
     weights into the field and rerunning the full passage DP."""
     out = np.empty(replicas)
     for r in range(replicas):
-        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r),
-                           Rect((0, 0), (n, n)))
-        w = weights(cfg)
+        sub = derive_seed(seed, Stream.REPLICA, r)
+        w = weights(p, sub, Rect((0, 0), (n, n)))
         w_v = int(w[v])
-        bits = site_bits(cfg, v, max(i + 1, w_v + 1) + 200)
+        bits = site_bits(p, sub, v, max(i + 1, w_v + 1) + 200)
         up_bits = bits.copy()
         up_bits[i] = True
         down_bits = bits.copy()
@@ -734,12 +731,12 @@ def _influence_oracle(p, n, v, i, replicas, seed):
 _AVOID = -(2 ** 40)   # a weight no geodesic takes
 
 
-def _site_weight_variants(cfg, v, i, w_v):
+def _site_weight_variants(p, seed, v, i, w_v):
     """Site weights after forcing bit i to 1 and to 0."""
     up = min(w_v, i)
     if w_v != i:
         return up, w_v
-    later = np.flatnonzero(site_bits(cfg, v, scan_cap(cfg.p))[i + 1:])
+    later = np.flatnonzero(site_bits(p, seed, v, scan_cap(p))[i + 1:])
     assert later.size
     return up, i + 1 + int(later[0])
 
@@ -751,9 +748,8 @@ def _influence_rows_per_replica(p, n, v_list, i_max, replicas, seed):
     samples = np.zeros((replicas, len(v_list), i_max + 1))
     visits = np.zeros((replicas, len(v_list)), dtype=bool)
     for r in range(replicas):
-        cfg = WeightConfig(p, derive_seed(seed, Stream.REPLICA, r),
-                           Rect((0, 0), (n, n)))
-        w = weights(cfg)
+        sub = derive_seed(seed, Stream.REPLICA, r)
+        w = weights(p, sub, Rect((0, 0), (n, n)))
         f, b = forward_table(w), backward_table(w)
         total = int(f[-1, -1])
         for a, v in enumerate(v_list):
@@ -764,7 +760,7 @@ def _influence_rows_per_replica(p, n, v_list, i_max, replicas, seed):
             wmod[v] = _AVOID
             t_avoid = travel_time(wmod)
             for i in range(i_max + 1):
-                up, down = _site_weight_variants(cfg, v, i, w_v)
+                up, down = _site_weight_variants(p, sub, v, i, w_v)
                 mean_flip = (p * max(t_avoid, base_path + up)
                              + (1.0 - p) * max(t_avoid, base_path + down))
                 samples[r, a, i] = abs(mean_flip - total)
@@ -824,9 +820,8 @@ def test_bit_surgery_on_a_stream_without_ones_is_caught(monkeypatch):
     # a broken stream never gives
     monkeypatch.setattr(lattice, "bernoulli_at", lambda prefix, index, p:
                         np.zeros(np.shape(index), dtype=bool))
-    cfg = WeightConfig(0.5, 7, Rect((0, 0), (4, 4)))
     with pytest.raises(RngIntegrityError):
-        estimators._next_weight(cfg, (1, 1), 2)
+        estimators._next_weight(0.5, 7, (1, 1), 2)
 
 
 def test_influence_decays_in_bit_index():
@@ -887,10 +882,10 @@ def test_variance_scaling_smoke():
 
 
 def test_transversal_smoke():
-    res = transversal_exponent(0.5, (8, 16, 32), replicas=60, seed=47, n_boot=100)
-    assert res.fit.scales == (8, 16, 32)
-    assert all(m > 0 for m in res.fit.statistic)
-    assert res.fit.statistic[0] < res.fit.statistic[-1]
+    fit = transversal_exponent(0.5, (8, 16, 32), replicas=60, seed=47, n_boot=100)
+    assert fit.scales == (8, 16, 32)
+    assert all(m > 0 for m in fit.statistic)
+    assert fit.statistic[0] < fit.statistic[-1]
 
 
 def test_heatmap_counts():

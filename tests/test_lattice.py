@@ -10,6 +10,7 @@ the compressed scan replaced, is kept as a reference for whole fields.
 """
 
 import tracemalloc
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 
 from lppnoise import lattice, rng
 from lppnoise.lattice import (NoiseKind, Rect, RngIntegrityError,
-                              WeightConfig, coupled_cap, coupled_group,
-                              noisy_group, noisy_stack, replica_groups,
-                              scan_cap, site_bits, weight_group, weights)
+                              coupled_cap, coupled_group, noisy_group,
+                              replica_groups, scan_cap, site_bits,
+                              weight_group, weights)
 from lppnoise.rng import Stream, bernoulli_at, key_prefix, uniform_array
 
 
@@ -55,8 +56,22 @@ def _oracle_weight(cfg, x, y, t=0.0, kind=None):
         i += 1
 
 
+class _Field(NamedTuple):
+    """The arguments of one weight field, in the order of ``weights``."""
+
+    p: float
+    seed: int
+    region: Rect
+
+
 def _cfg(lo, hi, p=0.5, seed=101):
-    return WeightConfig(p, seed, Rect(lo, hi))
+    return _Field(p, seed, Rect(lo, hi))
+
+
+def _noisy(cfg, times, kind):
+    """The ``kind`` partners of one field at every t, shape
+    ``(len(times), n1, n2)``."""
+    return noisy_group(cfg.p, (cfg.seed,), cfg.region, times, kind)[:, 0]
 
 
 def _coupled(cfg, t, cap):
@@ -67,7 +82,7 @@ def _coupled(cfg, t, cap):
 @pytest.mark.parametrize("p,seed", [(0.3, 11), (0.5, 12), (0.8, 13)])
 def test_weights_match_bitwise_oracle(p, seed):
     cfg = _cfg((-2, 3), (4, 9), p=p, seed=seed)
-    w = weights(cfg)
+    w = weights(*cfg)
     assert w.shape == (7, 7) and w.dtype == np.int64
     for i in range(7):
         for j in range(7):
@@ -75,15 +90,15 @@ def test_weights_match_bitwise_oracle(p, seed):
 
 
 def test_weights_depend_on_absolute_coordinates_only():
-    big = weights(_cfg((0, 0), (9, 9)))
-    sub = weights(_cfg((3, 4), (6, 8)))
+    big = weights(*_cfg((0, 0), (9, 9)))
+    sub = weights(*_cfg((3, 4), (6, 8)))
     assert np.array_equal(sub, big[3:7, 4:9])
 
 
 def test_single_site_field_matches_weights():
     cfg = _cfg((0, 0), (5, 5), seed=21)
-    w = weights(cfg)
-    one = weights(_cfg((2, 3), (2, 3), seed=21))
+    w = weights(*cfg)
+    one = weights(*_cfg((2, 3), (2, 3), seed=21))
     assert one.shape == (1, 1) and one[0, 0] == w[2, 3]
     with pytest.raises(ValueError):
         Rect((6, 0), (5, 0))
@@ -91,7 +106,7 @@ def test_single_site_field_matches_weights():
 
 def test_weight_marginal_is_geometric():
     p = 0.5
-    w = weights(_cfg((0, 0), (199, 199), p=p, seed=31)).ravel()
+    w = weights(*_cfg((0, 0), (199, 199), p=p, seed=31)).ravel()
     mean, var = (1 - p) / p, (1 - p) / p ** 2
     assert abs(w.mean() - mean) < 5 * np.sqrt(var / w.size)
     # exact pmf at small values, 5 sigma binomial bands
@@ -102,24 +117,24 @@ def test_weight_marginal_is_geometric():
 
 def test_site_bits_encode_the_weight():
     cfg = _cfg((0, 0), (7, 7), p=0.4, seed=41)
-    w = weights(cfg)
+    w = weights(*cfg)
     for v in [(0, 0), (3, 5), (7, 7)]:
-        bits = site_bits(cfg, v, int(w[v]) + 8)
+        bits = site_bits(cfg.p, cfg.seed, v, int(w[v]) + 8)
         assert not bits[: int(w[v])].any()
         assert bits[int(w[v])]
 
 
 def test_noise_time_zero_is_the_identity():
     cfg = _cfg((0, 0), (10, 10), seed=51)
-    base = weights(cfg)
+    base = weights(*cfg)
     for kind in (NoiseKind.BIT, NoiseKind.SITE):
-        assert np.array_equal(noisy_stack(cfg, (0.0,), kind)[0], base)
+        assert np.array_equal(_noisy(cfg, (0.0,), kind)[0], base)
 
 
 @pytest.mark.parametrize("t", [0.2, 1.0])
 def test_bit_dynamics_match_bitwise_oracle(t):
     cfg = _cfg((-1, -1), (4, 4), p=0.5, seed=61)
-    wt = noisy_stack(cfg, (t,), NoiseKind.BIT)[0]
+    wt = _noisy(cfg, (t,), NoiseKind.BIT)[0]
     for i in range(6):
         for j in range(6):
             assert wt[i, j] == _oracle_weight(cfg, -1 + i, -1 + j, t,
@@ -129,7 +144,7 @@ def test_bit_dynamics_match_bitwise_oracle(t):
 @pytest.mark.parametrize("t", [0.2, 1.0])
 def test_site_dynamics_match_bitwise_oracle(t):
     cfg = _cfg((-1, -1), (4, 4), p=0.5, seed=71)
-    wt = noisy_stack(cfg, (t,), NoiseKind.SITE)[0]
+    wt = _noisy(cfg, (t,), NoiseKind.SITE)[0]
     for i in range(6):
         for j in range(6):
             assert wt[i, j] == _oracle_weight(cfg, -1 + i, -1 + j, t,
@@ -138,8 +153,8 @@ def test_site_dynamics_match_bitwise_oracle(t):
 
 def test_single_site_noisy_field_matches_field():
     cfg = _cfg((0, 0), (6, 6), seed=81)
-    full = noisy_stack(cfg, (0.7,), NoiseKind.BIT)[0]
-    one = noisy_stack(_cfg((2, 5), (2, 5), seed=81), (0.7,), NoiseKind.BIT)[0]
+    full = _noisy(cfg, (0.7,), NoiseKind.BIT)[0]
+    one = _noisy(_cfg((2, 5), (2, 5), seed=81), (0.7,), NoiseKind.BIT)[0]
     assert one.shape == (1, 1) and one[0, 0] == full[2, 5]
 
 
@@ -147,21 +162,21 @@ def test_noisy_marginal_is_preserved():
     # the time-t field is again i.i.d. Geom(p); check mean and P(w = 0)
     p, t = 0.5, 0.8
     cfg = _cfg((0, 0), (149, 149), p=p, seed=91)
-    wt = noisy_stack(cfg, (t,), NoiseKind.BIT)[0].ravel()
+    wt = _noisy(cfg, (t,), NoiseKind.BIT)[0].ravel()
     assert abs(wt.mean() - 1.0) < 5 * np.sqrt(2.0 / wt.size)
     assert abs((wt == 0).mean() - p) < 5 * np.sqrt(p * (1 - p) / wt.size)
 
 
 def test_agreement_probability_decreases_with_t():
     cfg = _cfg((0, 0), (99, 99), seed=111)
-    base = weights(cfg)
+    base = weights(*cfg)
     same = []
     for t in (0.25, 1.0, 4.0):
-        wt = noisy_stack(cfg, (t,), NoiseKind.BIT)[0]
+        wt = _noisy(cfg, (t,), NoiseKind.BIT)[0]
         same.append((wt == base).mean())
     assert same[0] > same[1] + 0.05 > same[2] + 0.10
     # at huge t the pair is nearly independent: P(same) ~ sum_k P(w=k)^2 = 1/3
-    big = noisy_stack(cfg, (50.0,), NoiseKind.BIT)[0]
+    big = _noisy(cfg, (50.0,), NoiseKind.BIT)[0]
     assert abs((big == base).mean() - 1.0 / 3.0) < 0.02
 
 
@@ -170,8 +185,8 @@ def test_coupled_fields_structure_and_cap():
     m = coupled_cap(n, p)
     cfg = _cfg((0, 0), (n, n), p=p, seed=121)
     base, bit_t, site_mt = _coupled(cfg, t, m)
-    assert np.array_equal(base, weights(cfg))
-    assert np.array_equal(bit_t, noisy_stack(cfg, (t,), NoiseKind.BIT)[0])
+    assert np.array_equal(base, weights(*cfg))
+    assert np.array_equal(bit_t, _noisy(cfg, (t,), NoiseKind.BIT)[0])
     assert np.minimum(base, m).max() <= m
     assert np.minimum(site_mt, m).max() <= m
 
@@ -210,9 +225,13 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         Rect((2, 0), (1, 5))
     with pytest.raises(ValueError):
-        WeightConfig(0.0, 1, Rect((0, 0), (1, 1)))
+        weights(0.0, 1, Rect((0, 0), (1, 1)))
     with pytest.raises(ValueError):
-        WeightConfig(1.0, 1, Rect((0, 0), (1, 1)))
+        weights(1.0, 1, Rect((0, 0), (1, 1)))
+    with pytest.raises(ValueError):
+        site_bits(0.0, 1, (0, 0), 4)
+    with pytest.raises(ValueError):
+        site_bits(1.0, 1, (0, 0), 4)
     cfg = _cfg((0, 0), (3, 3))
     with pytest.raises(ValueError):
         _coupled(cfg, -0.1, 3)
@@ -286,7 +305,7 @@ _times = st.lists(st.one_of(st.sampled_from([0.0, 0.0, 0.3, 1.0]),
 
 def _cfg_of(region, p, seed):
     x, y, a, b = region
-    return WeightConfig(p, seed, Rect((x, y), (x + a - 1, y + b - 1)))
+    return _Field(p, seed, Rect((x, y), (x + a - 1, y + b - 1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,13 +314,13 @@ def _cfg_of(region, p, seed):
 def test_fused_stack_matches_one_member_at_a_time(region, p, seed, times,
                                                    kind):
     cfg = _cfg_of(region, p, seed)
-    stack = noisy_stack(cfg, times, kind)
+    stack = _noisy(cfg, times, kind)
     assert stack.shape == (len(times),) + cfg.region.shape
     for k, t in enumerate(times):
         ref = _member_reference(cfg, t, kind)
         assert np.array_equal(stack[k], ref)
-        assert np.array_equal(noisy_stack(cfg, (t,), kind)[0], ref)
-    assert np.array_equal(weights(cfg), _member_reference(cfg, 0.0, kind))
+        assert np.array_equal(_noisy(cfg, (t,), kind)[0], ref)
+    assert np.array_equal(weights(*cfg), _member_reference(cfg, 0.0, kind))
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,13 +344,13 @@ def test_sub_rectangle_field_is_a_slice(region, p, seed, t, corner):
     i0, j0 = min(corner[0], n1 - 1), min(corner[1], n2 - 1)
     i1, j1 = min(i0 + corner[2], n1), min(j0 + corner[3], n2)
     lo = (cfg.region.lo[0] + i0, cfg.region.lo[1] + j0)
-    sub = WeightConfig(p, seed, Rect(lo, (lo[0] + i1 - i0 - 1,
+    sub = _Field(p, seed, Rect(lo, (lo[0] + i1 - i0 - 1,
                                           lo[1] + j1 - j0 - 1)))
     cut = np.s_[i0:i1, j0:j1]
-    assert np.array_equal(weights(sub), weights(cfg)[cut])
+    assert np.array_equal(weights(*sub), weights(*cfg)[cut])
     for kind in (NoiseKind.BIT, NoiseKind.SITE):
-        assert np.array_equal(noisy_stack(sub, (t,), kind)[0],
-                              noisy_stack(cfg, (t,), kind)[0][cut])
+        assert np.array_equal(_noisy(sub, (t,), kind)[0],
+                              _noisy(cfg, (t,), kind)[0][cut])
     assert np.array_equal(_coupled(sub, t / 4, 7),
                           _coupled(cfg, t / 4, 7)[(slice(None),) + cut])
 
@@ -352,11 +371,11 @@ def test_fields_are_identical_for_any_site_budget(region, p, seeds, times, t,
     sites = cfg.region.shape[0] * cfg.region.shape[1]
     budget = {"site": 1, "replica": sites, "default": lattice._SITE_BUDGET,
               "batch": sites * len(seeds)}.get(budget, budget)
-    cfgs = [WeightConfig(p, seed, cfg.region) for seed in seeds]
+    cfgs = [_Field(p, seed, cfg.region) for seed in seeds]
     with mock.patch.object(lattice, "_SITE_BUDGET", 2 ** 40):
-        base = np.stack([weights(c) for c in cfgs])
-        bit = np.stack([noisy_stack(c, times, NoiseKind.BIT) for c in cfgs], 1)
-        site = np.stack([noisy_stack(c, times, NoiseKind.SITE)
+        base = np.stack([weights(*c) for c in cfgs])
+        bit = np.stack([_noisy(c, times, NoiseKind.BIT) for c in cfgs], 1)
+        site = np.stack([_noisy(c, times, NoiseKind.SITE)
                          for c in cfgs], 1)
         coupled = np.stack([_coupled(c, t, cap) for c in cfgs], 1)
     with mock.patch.object(lattice, "_SITE_BUDGET", budget):
@@ -379,8 +398,8 @@ def test_fields_are_identical_for_any_site_budget(region, p, seeds, times, t,
                           1):
             assert np.array_equal(got, coupled)
         # the one-seed functions under the patched budget (row strips)
-        assert np.array_equal(weights(cfgs[0]), base[0])
-        assert np.array_equal(noisy_stack(cfgs[0], times, NoiseKind.SITE),
+        assert np.array_equal(weights(*cfgs[0]), base[0])
+        assert np.array_equal(_noisy(cfgs[0], times, NoiseKind.SITE),
                               site[:, 0])
         assert np.array_equal(_coupled(cfgs[0], t, cap), coupled[:, 0])
 
@@ -404,7 +423,7 @@ def test_scan_draws_each_bit_once_and_stops_at_the_first_one(monkeypatch):
         return real(prefix, index, p)
 
     monkeypatch.setattr(lattice, "bernoulli_at", counting)
-    w = weights(_cfg((-3, -3), (20, 20), p=0.3, seed=5))
+    w = weights(*_cfg((-3, -3), (20, 20), p=0.3, seed=5))
     assert sum(drawn) == (w + 1).sum()
 
 
@@ -414,7 +433,7 @@ def test_scan_cap_depends_on_p_and_a_broken_stream_is_caught(monkeypatch):
         assert (1 - p) ** cap <= 1e-40 < (1 - p) ** (cap - 1)
     assert scan_cap(0.001) > 10 ** 4 > scan_cap(0.5)
     # a small p decodes (the old fixed cap only held for moderate p) ...
-    w = weights(_cfg((0, 0), (3, 3), p=0.001, seed=3))
+    w = weights(*_cfg((0, 0), (3, 3), p=0.001, seed=3))
     assert w.min() >= 0 and w.mean() > 50
     # ... and a stream with no ones hits the cap, in one-member scans and
     # in member scans with clocks
@@ -422,9 +441,9 @@ def test_scan_cap_depends_on_p_and_a_broken_stream_is_caught(monkeypatch):
                         np.zeros(np.shape(prefix), dtype=bool))
     cfg = _cfg((0, 0), (2, 2), p=0.9)
     with pytest.raises(RngIntegrityError):
-        weights(cfg)
+        weights(*cfg)
     with pytest.raises(RngIntegrityError):
-        noisy_stack(cfg, (0.0, 0.5, 2.0), NoiseKind.BIT)
+        _noisy(cfg, (0.0, 0.5, 2.0), NoiseKind.BIT)
     with pytest.raises(RngIntegrityError):
         _coupled(cfg, 0.5, 3)
 
@@ -444,10 +463,10 @@ def test_small_p_decode_memory_is_bounded():
     assert peak < 2 ** 20
 
 
-def test_noisy_stack_rejects_coupled_and_negative_times():
-    cfg = _cfg((0, 0), (3, 3))
+def test_noisy_group_rejects_negative_times():
     with pytest.raises(ValueError):
-        noisy_stack(cfg, (0.5, -0.1), NoiseKind.BIT)
+        noisy_group(0.5, (101,), Rect((0, 0), (3, 3)), (0.5, -0.1),
+                    NoiseKind.BIT)
 
 
 # ------------------------------------------ the scan vs the alive-set scan

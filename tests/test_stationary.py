@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lppnoise.lattice import Rect, WeightConfig, weights
+from lppnoise.lattice import Rect, weights
 from lppnoise.rng import Stream, geometric_array
 from lppnoise.stationary import (_boundary_grid, _check_in_grid,
                                  build_stationary, couple_columns, exit_times,
@@ -101,8 +101,8 @@ def test_boundary_weights_and_bulk_sources():
     assert np.array_equal(sf.grid[0, 1:],
                           geometric_array(seed, Stream.BOUNDARY_V, 0, i, 0, par.p_v))
     assert sf.grid[0, 0] == 0
-    cfg = WeightConfig(p, seed, Rect((1, 1), (8, 8)))
-    assert np.array_equal(sf.grid[1:, 1:], weights(cfg))
+    assert np.array_equal(sf.grid[1:, 1:],
+                          weights(p, seed, Rect((1, 1), (8, 8))))
 
 
 def test_shared_bulk_with_independent_boundaries():
@@ -213,8 +213,7 @@ def test_shape_function_values_and_monotonicity():
 def test_shape_function_matches_boundary_mean():
     # along e1 the passage time is a plain Geom(p) row sum
     p, n = 0.4, 20_000
-    cfg = WeightConfig(p, 71, Rect((0, 0), (n - 1, 0)))
-    row = weights(cfg).ravel()
+    row = weights(p, 71, Rect((0, 0), (n - 1, 0))).ravel()
     psi = shape_function(p, (1.0, 0.0))
     assert abs(row.mean() - psi) < 5 * np.sqrt(row.var() / n)
 
