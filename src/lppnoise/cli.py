@@ -94,19 +94,24 @@ class _Field(NamedTuple):
     default: object           # _REQUIRED if a config must give it
     limits: dict              # keywords of _check_value
     flag: str | None          # None: config only
-    cli: dict | None          # click.Option keywords besides the type
+    cli: dict | None          # click.Option keywords the field leaves open
+    choices: tuple | None     # the canonical values of a str field
+    size: int | None          # the fixed length of a list
 
 
-def _field(key, kind, default=_REQUIRED, *, flag=None, cli=None, **limits):
-    """``kind`` is int, float or str, or ``[int]``/``[float]`` for a list.
-    ``cli`` holds the option's click keywords (a ``default`` is shown in
-    the help, a list takes ``multiple`` unless it sets ``nargs``); without
-    it the field is config only.  The flag defaults to ``--<key>``."""
+def _field(key, kind, default=_REQUIRED, *, flag=None, cli=None,
+           choices=None, size=None, **limits):
+    """``kind`` is int, float or str, or ``[int]``/``[float]`` for a list
+    (of ``size`` items if given); a str field takes one of its ``choices``,
+    matched without regard to case.  ``cli`` holds the option's click
+    keywords besides those the field implies (type, ``nargs``, a default
+    other than None; a default is shown in the help); without it the
+    field is config only.  The flag defaults to ``--<key>``."""
     many = isinstance(kind, list)
     if cli is not None:
         flag = flag or "--" + key.replace("_", "-")
     return _Field(key, kind[0] if many else kind, many, default, limits,
-                  flag, cli)
+                  flag, cli, choices, size)
 
 
 def _parse(where: str, fields: tuple[_Field, ...], params: dict) -> dict:
@@ -131,6 +136,10 @@ def _parse(where: str, fields: tuple[_Field, ...], params: dict) -> dict:
                 raise ConfigError(
                     f'invalid value for "{f.key}" in {where}: '
                     f"expected a nonempty list, got {value!r}")
+            if f.size is not None and len(value) != f.size:
+                raise ConfigError(
+                    f'invalid value for "{f.key}" in {where}: '
+                    f"expected {f.size} components, got {value!r}")
             out[f.key] = [
                 _check_value(f"{f.key}[{k}]", v, where, f.kind, **f.limits)
                 for k, v in enumerate(value)]
@@ -139,6 +148,13 @@ def _parse(where: str, fields: tuple[_Field, ...], params: dict) -> dict:
                 raise ConfigError(
                     f'invalid value for "{f.key}" in {where}: '
                     f"expected a string, got {value!r}")
+            if f.choices is not None:
+                match = [c for c in f.choices if c.upper() == value.upper()]
+                if not match:
+                    raise ConfigError(
+                        f'invalid value for "{f.key}" in {where}: expected '
+                        f"{' or '.join(f.choices)}, got {value!r}")
+                value = match[0]
             out[f.key] = value
         else:
             out[f.key] = _check_value(f.key, value, where, f.kind, **f.limits)
@@ -163,14 +179,6 @@ def _experiment(name: str, *fields: _Field):
     return register
 
 
-def _parse_kind(raw: str, where: str) -> NoiseKind:
-    if raw.upper() not in ("BIT", "SITE"):
-        raise ConfigError(
-            f'invalid value for "kind" in {where}: expected BIT or SITE, '
-            f"got {raw!r}")
-    return NoiseKind[raw.upper()]
-
-
 def _estimate_dict(e):
     return {"estimate": e.estimate, "stderr": e.stderr, "ci_low": e.ci_low,
             "ci_high": e.ci_high, "replicas": e.replicas,
@@ -187,8 +195,7 @@ _P = _field("p", float, low=P_MIN, high=1.0, open_high=True,
             cli=dict(default=0.5))
 _LAM = _field("lam", float, low=0.0, high=1.0, open_low=True, open_high=True,
               cli=dict(default=0.5))
-_KIND = _field("kind", str, "BIT", cli=dict(
-    default="BIT", type=click.Choice(["BIT", "SITE"], case_sensitive=False)))
+_KIND = _field("kind", str, "BIT", choices=("BIT", "SITE"), cli=dict())
 _N_LIST = _field("n_list", [int], low=2, high=4000, flag="--n",
                  cli=dict(default=(64, 128, 256, 512)))
 _N_BOOT = _field("n_boot", int, 1000, low=10, high=100_000)
@@ -198,6 +205,11 @@ def _replicas(low, default):
     return _field("replicas", int, low=low, cli=dict(default=default))
 
 
+def _pair(key, **kw):
+    """A lattice point or direction: two ints."""
+    return _field(key, [int], size=2, **kw)
+
+
 @_experiment("corr-decay", _P,
              _field("n", int, low=1, high=4000, cli=dict(default=100)),
              _field("t_values", [float], low=0.0, flag="--t",
@@ -205,8 +217,8 @@ def _replicas(low, default):
              _KIND, _replicas(30, 200))
 def _run_corr_decay(q, seed, rec):
     """Correlation of T_n between a field and its noisy version."""
-    kind = _parse_kind(q["kind"], "corr-decay")
-    res = corr_decay(q["p"], q["n"], q["t_values"], kind, q["replicas"], seed)
+    res = corr_decay(q["p"], q["n"], q["t_values"], NoiseKind[q["kind"]],
+                     q["replicas"], seed)
     rows = [[t, e.estimate, e.stderr, e.ci_low, e.ci_high, e.replicas,
              e.degenerate] for t, e in zip(res.t_values, res.estimates)]
     for t, e in zip(res.t_values, res.estimates):
@@ -287,7 +299,7 @@ def _run_geodesic_heatmap(q, seed, rec):
              # a 24-wide strip of at most 600000 rows has fewer sites than
              # the largest rows x cols
              _field("gof_samples", int, 20000, low=500, high=600_000,
-                    cli=dict(default=20000)))
+                    cli=dict()))
 def _run_stationary_checks(q, seed, rec):
     """Exact boundary-model identities plus Burke marginal tests."""
     p, lam = q["p"], q["lam"]
@@ -364,16 +376,12 @@ def _run_rw_bound(q, seed, rec):
 
 
 @_experiment("sandwich", _P,
-             _field("v", [int], low=1, high=4000,
-                    cli=dict(nargs=2, default=(200, 200))),
+             _pair("v", low=1, high=4000, cli=dict(default=(200, 200))),
              _field("s", float, low=0.0, open_low=True,
                     cli=dict(required=True)),
              _replicas(2, 200))
 def _run_sandwich(q, seed, rec):
     """Frequency of the stationary sandwich around the origin column."""
-    if len(q["v"]) != 2:
-        raise ConfigError(f'invalid value for "v" in sandwich: expected two '
-                          f"components, got {q['v']}")
     try:
         rep = sandwich_experiment(q["p"], tuple(q["v"]), q["s"], q["replicas"],
                                   seed)
@@ -433,7 +441,7 @@ def _run_noise_compare(q, seed, rec):
 @_experiment("influence-map", _P,
              _field("n", int, low=2, high=64, cli=dict(default=16)),
              _replicas(30, 500),
-             _field("i_max", int, 8, low=0, high=63, cli=dict(default=8)),
+             _field("i_max", int, 8, low=0, high=63, cli=dict()),
              _field("delta", float, 0.5, low=0.0, high=1.0, open_low=True))
 def _run_influence_map(q, seed, rec):
     """Per-bit influences on T_n against geodesic visit probabilities."""
@@ -490,16 +498,13 @@ def _run_bks_verify(q, seed, rec):
 
 
 @_experiment("dump-field", _P,
-             _field("lo", [int], **_COORD, cli=dict(nargs=2, default=(0, 0))),
-             _field("hi", [int], **_COORD, cli=dict(nargs=2, required=True)),
+             _pair("lo", **_COORD, cli=dict(default=(0, 0))),
+             _pair("hi", **_COORD, cli=dict(required=True)),
              _field("t", float, None, low=0.0,
                     cli=dict(help="Also dump the noisy weights at this time.")),
              _KIND)
 def _run_dump_field(q, seed, rec):
     """Dump the keyed weight field on a rectangle."""
-    if len(q["lo"]) != 2 or len(q["hi"]) != 2:
-        raise ConfigError('invalid value for "lo"/"hi" in dump-field: '
-                          "expected two components each")
     try:
         region = Rect(tuple(q["lo"]), tuple(q["hi"]))
     except ValueError as exc:
@@ -508,12 +513,11 @@ def _run_dump_field(q, seed, rec):
     if region.shape[0] * region.shape[1] > 4 * 10**6:
         raise ConfigError('invalid value for "lo"/"hi" in dump-field: '
                           "region too large to dump")
-    kind = _parse_kind(q["kind"], "dump-field")
     if q["t"] is None:
         fields = [weights(q["p"], seed, region)]
     else:   # the field and its partner from one scan
         fields = noisy_group(q["p"], (seed,), region, (0.0, q["t"]),
-                             kind)[:, 0]
+                             NoiseKind[q["kind"]])[:, 0]
     w = fields[0]
     header = ["x1", "x2", "weight", "noisy_weight"][:2 + len(fields)]
     cols = [g.ravel() for g in (*region.coord_grids(), *fields)]
@@ -702,9 +706,13 @@ def run_cmd(config, seed, out) -> None:
 
 
 def _option(f: _Field) -> click.Option:
-    kw = {"type": f.kind, "multiple": f.many and "nargs" not in f.cli,
-          "show_default": "default" in f.cli, **f.cli}
-    return click.Option([f.flag, f.key], **kw)
+    kw = {"type": f.kind if f.choices is None
+          else click.Choice(f.choices, case_sensitive=False),
+          "multiple": f.many and f.size is None, "nargs": f.size or 1}
+    if f.default is not _REQUIRED and f.default is not None:
+        kw["default"] = f.default
+    kw.update(f.cli)
+    return click.Option([f.flag, f.key], show_default="default" in kw, **kw)
 
 
 def _command(exp: _Experiment) -> click.Command:

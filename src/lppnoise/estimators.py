@@ -26,7 +26,7 @@ from .lattice import (NoiseKind, Rect, RngIntegrityError, coupled_cap,
 from .lpp import (backward_table, forward_table, geodesic_mask, last_row,
                   travel_time, upmost_span)
 from .rng import Stream, derive_seed, hash_array, hash_cuts
-from .stationary import _boundary_grid, lambda_params
+from .stationary import lambda_params, set_boundary
 
 __all__ = [
     "EstimateWithCI",
@@ -306,12 +306,16 @@ def _bootstrap_slope(p: float, n_list: list[int], samples: list[np.ndarray],
     """Fit and bootstrap CI of the log-log slope of ``stat_fn`` against
     scale.  ``stat_fn`` reduces the last axis, so one call per scale and
     chunk takes the statistic of every resample in the chunk."""
-    def log_stat(values, what: str) -> np.ndarray:
-        for n, v in zip(n_list, values):
-            if v <= 0:
-                raise ValueError(f"{what} is {v:g} at n={n} (p={p}, replicas="
-                                 f"{samples[0].size}); a log-log fit needs "
-                                 "it > 0")
+    def log_stat(values: np.ndarray, what: str) -> np.ndarray:
+        # a row per scale, a column per resample: the first bad
+        # resample's first bad scale is reported
+        cols = values.reshape(len(n_list), -1)
+        bad = np.argwhere(cols.T <= 0)
+        if bad.size:
+            b, k = bad[0]
+            raise ValueError(f"{what} is {cols[k, b]:g} at n={n_list[k]} "
+                             f"(p={p}, replicas={samples[0].size}); a "
+                             "log-log fit needs it > 0")
         return np.log(values)
 
     point = np.array([stat_fn(s) for s in samples])
@@ -320,11 +324,8 @@ def _bootstrap_slope(p: float, n_list: list[int], samples: list[np.ndarray],
 
     def refit(*idx):
         stats = np.array([stat_fn(s[i]) for s, i in zip(samples, idx)])
-        out = np.empty(stats.shape[1])
-        for b in range(out.size):
-            out[b] = np.polyfit(log_n, log_stat(
-                stats[:, b], "a bootstrap resample's statistic"), 1)[0]
-        return out
+        return np.polyfit(log_n, log_stat(
+            stats, "a bootstrap resample's statistic"), 1)[0]
 
     boots = _bootstrap(seed, n_boot, [s.size for s in samples], refit)
     lo, hi = np.percentile(boots, [2.5, 97.5])
@@ -653,24 +654,24 @@ def sandwich_experiment(p: float, v: tuple[int, int], s: float, replicas: int,
 
     def one(sub: int, w_lo: np.ndarray) -> tuple[bool, float]:
         # w_lo: plain weights on the columns up to the origin, rows up to
-        # +k; the boundary grids at lam-+ share its bulk, so all three run
-        # as one stack.  Only the last rows (the origin column) are read.
-        grids = [w_lo] + [
-            _boundary_grid(lambda_params(p, lam), (v1, v2 + k),
-                           derive_seed(sub, Stream.GENERIC, tag),
-                           base=(-v1, -v2), bulk=w_lo)
-            for tag, lam in ((1, lam_minus), (2, lam_plus))]
-        # Delta_j and omega^V at the origin column, at index v2 + j - 1
-        delta, lo_col, hi_col = np.diff(last_row(np.stack(grids)))
+        # +k; the grids at lam-+ are copies with their own boundaries, run
+        # as one stack and freed before the hat region is decoded.  Only
+        # the last rows (the origin column) are read: Delta_j and omega^V
+        # at index v2 + j - 1.
+        delta, lo_col, hi_col = np.diff(last_row(np.stack([w_lo] + [
+            set_boundary(w_lo.copy(), lambda_params(p, lam),
+                         derive_seed(sub, Stream.GENERIC, tag),
+                         base=(-v1, -v2))
+            for tag, lam in ((1, lam_minus), (2, lam_plus))])))
         ok = bool(np.all((lo_col[js] <= delta[js]) & (delta[js] <= hi_col[js])))
         # reflected construction: bulk at hat-grid (i, j) is the plain
         # weight at w - (i, j); its V-increments at the hat column w1 - 1
         # give the upper bounds on -Delta'_j
-        bulk_hat = np.zeros((w1, w2 + k + 2), dtype=np.int64)
-        bulk_hat[1:, 1:] = weights(p, sub, hat)[::-1, ::-1]
-        inc_hat = np.diff(last_row(_boundary_grid(
-            lambda_params(p, lam_hat_plus), (w1 - 1, w2 + k + 1),
-            derive_seed(sub, Stream.GENERIC, 3), bulk=bulk_hat)))
+        grid_hat = np.empty((w1, w2 + k + 2), dtype=np.int64)
+        grid_hat[1:, 1:] = weights(p, sub, hat)[::-1, ::-1]
+        inc_hat = np.diff(last_row(set_boundary(
+            grid_hat, lambda_params(p, lam_hat_plus),
+            derive_seed(sub, Stream.GENERIC, 3))))
         # hat increment at hat-height w2 + 1 - j corresponds to original
         # site e1 + (j - 1) e2
         y = inc_hat[w2 - np.arange(1, k + 1)] - lo_col[v2 + np.arange(1, k + 1) - 1]

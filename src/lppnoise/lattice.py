@@ -135,10 +135,10 @@ def scan_cap(p: float) -> int:
     return math.ceil(_SCAN_TAIL / -math.log1p(-p))
 
 
-def _scan(n_members: int, n_sites: int, cap: int, prefixes,
-          hits) -> np.ndarray:
-    """First round i < cap in which each member hits, per site: shape
-    ``(n_members, n_sites)``, -1 where a member has not hit.
+def _scan(n_members: int, cap: int, prefixes, hits) -> np.ndarray:
+    """First round i < cap in which each member hits, per site of the
+    flat key prefix arrays ``prefixes``: shape ``(n_members, sites)``, -1
+    where a member has not hit.
 
     ``hits(prefixes, i)`` gets the key prefixes of the carried sites (one
     flat array per stream, in the order of ``prefixes``) and returns a
@@ -149,9 +149,9 @@ def _scan(n_members: int, n_sites: int, cap: int, prefixes,
     draw is made for a settled site.  A hit is written in its round;
     round 0 needs no write, as the weights start at 0.
     """
-    out = np.zeros((n_members, n_sites), dtype=np.int64)
-    idx = np.arange(n_sites)
-    pending = np.ones((n_members, n_sites), dtype=bool)
+    out = np.zeros((n_members, prefixes[0].size), dtype=np.int64)
+    idx = np.arange(out.shape[1])
+    pending = np.ones(out.shape, dtype=bool)
     # index arrays (nonzero, take), not boolean masks: numpy's masked
     # copies branch per element and cost several times more
     for i in range(cap):
@@ -204,7 +204,7 @@ def _decode(seed, p: float, sx, sy, times=(0.0,),
             return bernoulli_at(pre[0], i, p)
 
     cap = scan_cap(p)
-    w = _scan(len(t), px.size, cap, prefixes, hits)
+    w = _scan(len(t), cap, prefixes, hits)
     if (w < 0).any():
         raise RngIntegrityError(
             f"bit scan at p={p} exceeded {cap} rounds; keyed stream damaged")
@@ -324,7 +324,7 @@ def coupled_group(p: float, seeds, region: Rect, t: float,
             # U~ <= M*t iff one of the first M per-bit clocks is <= t; a
             # site's clocks are read only up to the first such one
             pu = key_prefix(col, Stream.CLOCK_U, xs, ys).ravel()
-            first = _scan(1, pu.size, m, [pu], lambda pre, i:
+            first = _scan(1, m, [pu], lambda pre, i:
                           rings_at(pre[0], i, (t,)))
             rung = (first[0] >= 0).reshape(out.shape[1:])
             out[2][rung] = _replacement(p, col, xs, ys, rung)

@@ -41,6 +41,7 @@ __all__ = [
     "LambdaParams",
     "lambda_params",
     "StationaryField",
+    "set_boundary",
     "build_stationary",
     "lambda_geodesic_report",
     "ExitTimes",
@@ -121,37 +122,19 @@ class StationaryField:
         return bool(np.array_equal(np.minimum(oh, ov), self.grid[1:, 1:]))
 
 
-def _boundary_grid(params: LambdaParams, extent: tuple[int, int], seed: int,
-                   base: tuple[int, int] = (0, 0),
-                   bulk: np.ndarray | None = None) -> np.ndarray:
-    """The modified weights of ``build_stationary``'s grid, without the DP,
-    with its corner at ``base``.  Boundary weights come from the seed's
-    BOUNDARY_V stream at the absolute boundary sites.  ``bulk``, when
-    given, is a grid-shaped array whose interior supplies the bulk (its
-    row 0 and column 0 are ignored): so grids of distinct seeds share
-    one bulk and have independent boundaries."""
-    m1, m2 = extent
-    if m1 < 0 or m2 < 0:
-        raise ValueError(f"extent must be nonnegative, got {extent}")
-    grid = np.zeros((m1 + 1, m2 + 1), dtype=np.int64)
-    if m1 >= 1:
-        i = np.arange(1, m1 + 1, dtype=np.int64)
-        grid[1:, 0] = geometric_array(seed, Stream.BOUNDARY_V,
-                                      base[0] + i, base[1], 0, params.p_h)
-    if m2 >= 1:
-        j = np.arange(1, m2 + 1, dtype=np.int64)
-        grid[0, 1:] = geometric_array(seed, Stream.BOUNDARY_V,
-                                      base[0], base[1] + j, 0, params.p_v)
-    if m1 >= 1 and m2 >= 1:
-        if bulk is not None:
-            if bulk.shape != grid.shape:
-                raise ValueError(
-                    f"bulk shape {bulk.shape} does not match grid {grid.shape}")
-            grid[1:, 1:] = bulk[1:, 1:]
-        else:
-            grid[1:, 1:] = weights(params.p, seed,
-                                   Rect((base[0] + 1, base[1] + 1),
-                                        (base[0] + m1, base[1] + m2)))
+def set_boundary(grid: np.ndarray, params: LambdaParams, seed: int,
+                 base: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Write the boundary into ``grid``, whose corner is the site ``base``,
+    and return it: 0 at the corner and the seed's BOUNDARY_V weights at
+    the absolute sites of row 0 (Geom(p_H)) and column 0 (Geom(p_V)).
+    The bulk is left alone, so grids of distinct seeds can share one."""
+    i = np.arange(1, grid.shape[0], dtype=np.int64)
+    j = np.arange(1, grid.shape[1], dtype=np.int64)
+    grid[0, 0] = 0
+    grid[1:, 0] = geometric_array(seed, Stream.BOUNDARY_V, base[0] + i,
+                                  base[1], 0, params.p_h)
+    grid[0, 1:] = geometric_array(seed, Stream.BOUNDARY_V, base[0],
+                                  base[1] + j, 0, params.p_v)
     return grid
 
 
@@ -163,9 +146,15 @@ def build_stationary(p: float, lam: float, extent: tuple[int, int],
     from the plain field of the same seed over ``[1..m1] x [1..m2]``.
     """
     params = lambda_params(p, lam)
-    grid = _boundary_grid(params, extent, seed)
-    return StationaryField(params=params, extent=(extent[0], extent[1]),
-                           grid=grid, G=forward_table(grid))
+    m1, m2 = extent
+    if m1 < 0 or m2 < 0:
+        raise ValueError(f"extent must be nonnegative, got {extent}")
+    grid = np.empty((m1 + 1, m2 + 1), dtype=np.int64)
+    if m1 >= 1 and m2 >= 1:
+        grid[1:, 1:] = weights(p, seed, Rect((1, 1), (m1, m2)))
+    set_boundary(grid, params, seed)
+    return StationaryField(params=params, extent=(m1, m2), grid=grid,
+                           G=forward_table(grid))
 
 
 def _check_in_grid(sf: StationaryField, x: tuple[int, int], name: str) -> None:

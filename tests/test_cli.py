@@ -107,6 +107,20 @@ def test_library_functions_have_a_caller(module):
     assert not sorted(functions - read)
 
 
+def test_no_module_imports_another_modules_private_name():
+    # a name one module shares with another is public
+    src = Path(__file__).parent.parent / "src" / "lppnoise"
+    private = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("lppnoise")):
+                private += [f"{path.name}: {a.name}" for a in node.names
+                            if a.name.startswith("_")
+                            and not a.name.endswith("__")]
+    assert not private
+
+
 def test_corr_decay_writes_csv_and_summary(tmp_path):
     out = str(tmp_path)
     res = _invoke(["corr-decay", "--p", "0.5", "--n", "12", "--t", "0",
@@ -473,21 +487,65 @@ def test_run_missing_required_param(tmp_path):
     assert 'missing required parameter "m" for bks-verify' in res.output
 
 
-def test_run_checks_every_entry_before_running_any(tmp_path):
-    # a valid entry 0 must not run when entry 1 fails its schema
+_CORR_DECAY = {"p": 0.5, "n": 4, "t_values": [0.5], "replicas": 30}
+
+
+@pytest.mark.parametrize("bad,message", [
+    pytest.param({"name": "bks-verify", "params": {}},
+                 'missing required parameter "m" for bks-verify',
+                 id="bks-verify-m"),
+    pytest.param({"name": "corr-decay",
+                  "params": {**_CORR_DECAY, "kind": "COUPLED"}},
+                 'invalid value for "kind" in corr-decay: expected BIT or '
+                 "SITE, got 'COUPLED'", id="corr-decay-kind"),
+    pytest.param({"name": "sandwich", "params": {"p": 0.5, "v": [200, 200, 1],
+                                                 "s": 0.3, "replicas": 2}},
+                 'invalid value for "v" in sandwich: expected 2 components',
+                 id="sandwich-v"),
+    pytest.param({"name": "dump-field", "params": {"p": 0.5, "lo": [0, 0, 0],
+                                                   "hi": [2, 2]}},
+                 'invalid value for "lo" in dump-field: expected 2 '
+                 "components", id="dump-field-lo"),
+])
+def test_run_checks_every_entry_before_running_any(tmp_path, bad, message):
+    # a valid entry 0 must not run when entry 1 breaks a field's rule
     out = tmp_path / "out"
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(
         {"seed": 1, "output_dir": str(out), "experiments": [
-            {"name": "corr-decay", "params": {"p": 0.5, "n": 4,
-                                              "t_values": [0.5],
-                                              "replicas": 30}},
-            {"name": "bks-verify", "params": {}}]}))
+            {"name": "corr-decay", "params": _CORR_DECAY}, bad]}))
     res = CliRunner().invoke(main, ["run", "--config", str(cfg)])
     assert res.exit_code == 1
-    assert 'missing required parameter "m" for bks-verify' in res.output
+    assert message in res.output
     assert "[0]" not in res.output
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_config_kind_is_matched_without_regard_to_case(tmp_path):
+    def batch(corr_kind, dump_kind):
+        out = tmp_path / f"{corr_kind}-{dump_kind}"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"seed": 3, "output_dir": str(out), "experiments": [
+                {"name": "corr-decay",
+                 "params": {**_CORR_DECAY, "kind": corr_kind}},
+                {"name": "dump-field",
+                 "params": {"p": 0.4, "lo": [-2, 1], "hi": [3, 4], "t": 0.7,
+                            "kind": dump_kind}}]}))
+        res = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        files = {}
+        for path in sorted(out.iterdir()):
+            if path.suffix == ".csv":
+                files[path.name] = path.read_bytes()
+            elif path.name != "manifest.json":   # the summary echoes params
+                summary = json.loads(path.read_text())
+                del summary["params"]
+                files[path.name] = summary
+        return files
+
+    assert batch("site", "Bit") == batch("SITE", "BIT")
+    assert batch("bit", "sItE") == batch("BIT", "SITE")
 
 
 def test_run_rejects_unknown_param(tmp_path):

@@ -530,9 +530,10 @@ def _alive_set_decode(seed, p, sx, sy, times=(0.0,), tag=Stream.BIT_X):
     return w.reshape((t.size,) + shape)
 
 
-def _alive_set_scan(n_members, n_sites, cap, prefixes, hits):
+def _alive_set_scan(n_members, cap, prefixes, hits):
     """``lattice._scan`` (the coupled site clock) on the alive-set scan."""
-    return _first_hits(n_sites, n_members, cap, lambda alive, pending, i:
+    return _first_hits(prefixes[0].size, n_members, cap,
+                       lambda alive, pending, i:
                        hits([a[alive] for a in prefixes], i))
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from lppnoise.lattice import Rect, weights
 from lppnoise.rng import Stream, geometric_array
-from lppnoise.stationary import (_boundary_grid, _check_in_grid,
-                                 build_stationary, couple_columns, exit_times,
+from lppnoise.stationary import (_check_in_grid, build_stationary,
+                                 couple_columns, exit_times,
                                  geometric_gof_pvalue, lambda_geodesic_report,
-                                 lambda_params)
+                                 lambda_params, set_boundary)
 
 
 def stationary_travel_time(sf, x, y):
@@ -108,12 +108,23 @@ def test_boundary_weights_and_bulk_sources():
 def test_shared_bulk_with_independent_boundaries():
     bulk = np.arange(49).reshape(7, 7) % 5
     par = lambda_params(0.5, 0.5)
-    a = _boundary_grid(par, (6, 6), 1, bulk=bulk)
-    b = _boundary_grid(par, (6, 6), 2, bulk=bulk)
-    assert np.array_equal(a[1:, 1:], b[1:, 1:])
+    a = set_boundary(bulk.copy(), par, 1)
+    b = set_boundary(bulk.copy(), par, 2, base=(-3, 4))
+    c = bulk.copy()
+    assert set_boundary(c, par, 2, base=(-3, 4)) is c
+    # the interior is left alone; the boundaries are the seed's own, at
+    # the absolute sites
+    for g in (a, b):
+        assert np.array_equal(g[1:, 1:], bulk[1:, 1:])
+        assert g[0, 0] == 0
+    assert np.array_equal(b, c)
     assert not np.array_equal(a[:, 0], b[:, 0])
-    with pytest.raises(ValueError):
-        _boundary_grid(par, (6, 6), 1, bulk=np.zeros((3, 3)))
+    assert not np.array_equal(a[0], b[0])
+    i = np.arange(1, 7, dtype=np.int64)
+    assert np.array_equal(b[1:, 0], geometric_array(
+        2, Stream.BOUNDARY_V, i - 3, 4, 0, par.p_h))
+    assert np.array_equal(b[0, 1:], geometric_array(
+        2, Stream.BOUNDARY_V, -3, i + 4, 0, par.p_v))
 
 
 def test_increment_marginals_by_gof():
