@@ -14,7 +14,6 @@ bounds); grouping changes no value.
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .lattice import (NoiseKind, Rect, RngIntegrityError, coupled_cap,
                       site_bits, weight_group, weights)
 from .lpp import (backward_table, forward_table, geodesic_mask, last_row,
                   travel_time, upmost_span)
-from .rng import Stream, derive_seed, hash_array, hash_cuts
+from .rng import IndexStream, Stream, derive_seed, hash_array, hash_cuts
 from .stationary import lambda_params, set_boundary
 
 __all__ = [
@@ -129,36 +128,25 @@ def pearson_estimate(x: np.ndarray, y: np.ndarray) -> EstimateWithCI:
 _BOOT_DRAW_BUDGET = 2**12
 
 
-def _release_freed_heap() -> None:
-    """Give the heap pages that freed field decodes left behind back to
-    the OS (glibc's ``malloc_trim``).  glibc keeps up to twice its
-    adaptive mmap threshold free at the top of the heap, so without this
-    the peak RSS of a batch, set when ``numpy.random`` is first imported
-    (~5 MB of extension modules), moved by ~3 MB with heap layout alone:
-    with the checkout's path length, say."""
-    if sys.platform.startswith("linux"):
-        import ctypes
-        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-        if trim is not None:
-            trim(0)
-
-
 def _bootstrap(seed: int, n_boot: int, sizes, stat) -> np.ndarray:
-    """``n_boot`` bootstrap values of ``stat``.  Resample ``b`` draws
-    ``rng.integers(0, m, m)`` for each ``m`` in ``sizes``, in order, from
-    one generator seeded with ``seed``.  Resamples are taken in chunks of
-    at most ``_BOOT_DRAW_BUDGET`` indices (one resample at least); ``stat``
-    gets one ``(chunk, m)`` array of stacked index arrays per size and
-    returns the chunk's values."""
-    _release_freed_heap()
-    rng = np.random.default_rng(seed)
+    """``n_boot`` bootstrap values of ``stat``.  Resample ``b`` draws ``m``
+    indices below ``m`` for each ``m`` in ``sizes``, in order: the stream
+    of numpy's ``default_rng(seed).integers(0, m, m)`` calls, computed by
+    ``rng.IndexStream``, so the indices do not move with numpy's version.
+    Resamples are taken in chunks of at most ``_BOOT_DRAW_BUDGET``
+    indices (one resample at least), each chunk's in one draw; ``stat``
+    gets one ``(chunk, m)`` array of index rows per size and returns the
+    chunk's values."""
+    stream = IndexStream(seed)
     boots = np.empty(n_boot)
-    chunk = max(1, _BOOT_DRAW_BUDGET // sum(sizes))
+    total = sum(sizes)
+    chunk = max(1, _BOOT_DRAW_BUDGET // total)
+    bounds = np.tile(np.repeat(sizes, sizes), chunk)
+    cuts = np.cumsum(sizes)[:-1]
     for a in range(0, n_boot, chunk):
-        draws = [[rng.integers(0, m, m) for m in sizes]
-                 for _ in range(min(chunk, n_boot - a))]
-        stacked = [np.array(per_size) for per_size in zip(*draws)]
-        boots[a:a + len(draws)] = stat(*stacked)
+        k = min(chunk, n_boot - a)
+        draws = stream.integers(bounds[:k * total], k * total)
+        boots[a:a + k] = stat(*np.split(draws.reshape(k, total), cuts, axis=1))
     return boots
 
 

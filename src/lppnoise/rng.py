@@ -25,6 +25,11 @@ indices of one site hashes the prefix once and then needs one finalizer
 round per draw (``bernoulli_at``, ``rings_at``), with the same values as
 the full key.  ``hash_array(..., out=(h, scratch))`` runs the chain in
 two given arrays instead of fresh ones, with the same bits.
+
+One stream is not keyed: ``IndexStream(seed).integers(high, size)``
+returns numpy's ``np.random.default_rng(seed).integers(0, high, size)``
+(numpy 2.x, int64, calls made in order), computed here, so bootstrap
+indices neither import ``numpy.random`` nor move with numpy's version.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "key_prefix",
     "bernoulli_at",
     "rings_at",
+    "IndexStream",
 ]
 
 _U64 = np.uint64
@@ -281,3 +287,175 @@ def geometric_array(seed: int, tag: Stream, sx, sy, index, p: float) -> np.ndarr
 def derive_seed(seed: int, tag: Stream, index: int) -> int:
     """Derive an independent 64-bit sub-seed (replicas, sub-fields)."""
     return int(hash_array(int(seed), int(tag), 0, 0, int(index)))
+
+
+# ------------------------------------------------------- bootstrap indices
+# numpy's default_rng(seed): SeedSequence(seed) -> PCG64 (a 128-bit LCG
+# with the XSL-RR output) -> next_uint32 -> the 32-bit Lemire bound of
+# Generator.integers.  The constants are numpy's.
+
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_M32_U64, _S32, _S58 = _U64(_MASK32), _U64(32), _U64(58)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# outputs per jump block: s_j = A_j s + C_j for j = 1 .. _JUMP
+_JUMP = 4096
+
+
+def _seed_state(seed: int) -> tuple[int, int, int, int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` as ints."""
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    entropy = [seed >> s & _MASK32
+               for s in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        words.append(value ^ value >> 16)
+    return tuple(words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each ``a * b``, for uint64 ``a`` and b < 2**64."""
+    a0, a1 = a & _M32_U64, a >> _S32
+    b0, b1 = _U64(b & _MASK32), _U64(b >> 32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _S32) + (p01 & _M32_U64) + (p10 & _M32_U64)
+    return a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+
+
+def _times(lo: np.ndarray, hi: np.ndarray, x: int):
+    """The low and high uint64 halves of ``(hi * 2**64 + lo) * x`` mod
+    2**128, for x < 2**128."""
+    x_lo, x_hi = x & _MASK64, x >> 64
+    return (lo * _U64(x_lo),
+            _mulhi(lo, x_lo) + lo * _U64(x_hi) + hi * _U64(x_lo))
+
+
+def _steps():
+    # (A_j, G_j) for j = 1 .. _JUMP as 64-bit halves, one j at a time:
+    # lists of the 128-bit ints raised a transversal batch's peak RSS by
+    # about 0.7 MB
+    a, g = 1, 0
+    for _ in range(_JUMP):
+        a, g = a * _PCG_MULT & _MASK128, g + a & _MASK128
+        yield a & _MASK64, a >> 64, g & _MASK64, g >> 64
+
+
+@functools.cache
+def _jump_tables() -> tuple[np.ndarray, ...]:
+    """Low and high halves of A_j = M**j and G_j = M**0 + ... + M**(j-1)
+    mod 2**128 for j = 1 .. _JUMP: j LCG steps take s to A_j s + G_j inc.
+    Read-only, as every stream shares them."""
+    table = np.fromiter(_steps(), dtype=np.dtype((np.uint64, 4)),
+                        count=_JUMP)
+    table = np.ascontiguousarray(table.T)
+    table.flags.writeable = False
+    return tuple(table)
+
+
+class IndexStream:
+    """numpy's ``np.random.default_rng(seed).integers(0, high, size)``
+    stream without ``numpy.random``: successive ``integers`` calls return
+    what the same calls on one numpy 2.x ``Generator`` return (int64).
+
+    The state is PCG64's 128-bit LCG state and the high half-word that
+    ``next_uint32`` buffers, which carries across calls.  A block of LCG
+    outputs is computed at once by jump-ahead from tables of A_j and
+    C_j = G_j inc."""
+
+    def __init__(self, seed: int):
+        s_hi, s_lo, i_hi, i_lo = _seed_state(int(seed))
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        # PCG64's set_seed: step, add the initial state, step
+        self._state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc
+                       ) & _MASK128
+        self._half = None
+        self._c = _times(*_jump_tables()[2:], inc)
+
+    def _next64(self, k: int) -> np.ndarray:
+        # the next k 64-bit outputs: step, then XSL-RR of the new state
+        out = np.empty(k, dtype=np.uint64)
+        a_lo, a_hi = _jump_tables()[:2]
+        c_lo, c_hi = self._c
+        for at in range(0, k, _JUMP):
+            j = min(k - at, _JUMP)
+            lo, hi = _times(a_lo[:j], a_hi[:j], self._state)
+            lo += c_lo[:j]
+            hi += c_hi[:j] + (lo < c_lo[:j])
+            self._state = int(hi[-1]) << 64 | int(lo[-1])
+            rot = hi >> _S58
+            lo ^= hi
+            out[at:at + j] = (lo >> rot) | (lo << (_U64(64) - rot & _U64(63)))
+        return out
+
+    def _words(self, n: int) -> np.ndarray:
+        # the next n 32-bit words: each output's low half, then its high
+        # half, which waits in _half when n ends between them
+        lead = [] if self._half is None else [self._half]
+        fresh = self._next64((n - len(lead) + 1) // 2)
+        words = np.concatenate((np.array(lead, dtype=np.uint32),
+                                fresh.astype("<u8", copy=False).view("<u4")))
+        self._half = words[n] if words.size > n else None
+        return words[:n]
+
+    def integers(self, high, size: int) -> np.ndarray:
+        """``size`` int64 draws uniform below ``high``: an int, or an array
+        of one bound per draw, each in [1, 2**32).
+
+        A word w gives ``(w * high) >> 32`` unless its low 32 bits fall
+        below ``2**32 mod high``; then it is dropped and the draw and
+        those after it take the next words.  A bound of 1 takes no word."""
+        high = np.broadcast_to(np.asarray(high, dtype=np.int64), (size,))
+        least, most = (high.min(), high.max()) if size else (2, 2)
+        if least < 1 or most > _MASK32:
+            raise ValueError("high must lie in [1, 2**32)")
+        if least == 1:
+            out = np.zeros(size, dtype=np.int64)
+            live = high > 1
+            out[live] = self.integers(high[live], int(live.sum()))
+            return out
+        high = high.astype(np.uint64)
+        out = np.empty(size, dtype=np.int64)
+        words, done = self._words(size), 0
+        while True:
+            h = high[done:]
+            m = words * h
+            low = m & _M32_U64
+            # 2**32 mod h < h, so few words need the exact test
+            bad = low < h
+            if bad.any():
+                bad[bad] = low[bad] < _U64(1 << 32) % h[bad]
+            if not bad.any():
+                out[done:] = m >> _S32
+                return out
+            # past the first rejected word the words shift onto later
+            # draws; where those all share its bound, every word is decided
+            r = int(bad.argmax())
+            used = m.size if (h[r:] == h[r]).all() else r + 1
+            kept = m[:used][~bad[:used]] >> _S32
+            out[done:done + kept.size] = kept
+            done += kept.size
+            words = np.concatenate((words[used:],
+                                    self._words(used - kept.size)))

@@ -121,6 +121,50 @@ def test_no_module_imports_another_modules_private_name():
     assert not private
 
 
+def _names_numpy_random_or_ctypes(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Name):
+        return node.id == "ctypes"
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [f"{node.module}.{a.name}" for a in node.names]
+    else:
+        return False
+    return any(n.split(".")[0] == "ctypes" or n.startswith("numpy.random")
+               for n in names)
+
+
+def test_only_bks_verify_names_numpy_random():
+    # bootstrap indices come from rng.IndexStream, and no heap trim goes
+    # through ctypes: the lattice experiments' path stays free of both
+    src = Path(__file__).parent.parent / "src" / "lppnoise"
+    found, allowed = [], 0
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if (path.name, node.name) == ("cli.py", "_run_bks_verify"):
+                skip.update(map(id, ast.walk(node)))
+            elif (path.name, node.name) == ("cube.py",
+                                            "random_normal_function"):
+                for arg in node.args.args:
+                    if arg.annotation is not None:
+                        skip.update(map(id, ast.walk(arg.annotation)))
+        for node in ast.walk(tree):
+            if _names_numpy_random_or_ctypes(node):
+                if id(node) in skip:
+                    allowed += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert allowed == 2   # bks-verify's generator and its annotation
+    assert not found
+
+
 def test_corr_decay_writes_csv_and_summary(tmp_path):
     out = str(tmp_path)
     res = _invoke(["corr-decay", "--p", "0.5", "--n", "12", "--t", "0",
@@ -889,6 +933,33 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     proc = _fresh_python(_NO_SCIPY, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "corr_decay.csv").exists()
+
+
+# bootstrap indices come from rng.IndexStream; bks-verify's random
+# functions are numpy.random's one user
+_NUMPY_RANDOM_ONLY_IN_BKS_VERIFY = """
+import sys
+from lppnoise.cli import main
+def run(*args):
+    try:
+        main([*args, "--out", sys.argv[1]], prog_name="lppnoise")
+    except SystemExit as exc:
+        assert exc.code == 0, (args, exc.code)
+run("corr-decay", "--n", "4", "--t", "0.5", "--replicas", "30")
+run("noise-compare", "--n", "4", "--t", "0.1", "--replicas", "30")
+run("variance-scaling", "--n", "2", "--n", "3", "--n", "4", "--replicas", "16")
+run("transversal", "--n", "2", "--n", "3", "--n", "4", "--replicas", "4")
+assert "numpy.random" not in sys.modules
+run("bks-verify", "--m", "2", "--p", "0.5", "--t", "0.5", "--trials", "2")
+assert "numpy.random" in sys.modules
+"""
+
+
+def test_lattice_experiments_run_without_importing_numpy_random(tmp_path):
+    proc = _fresh_python(_NUMPY_RANDOM_ONLY_IN_BKS_VERIFY, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert {"noise_compare.csv", "variance_scaling.csv", "transversal.csv",
+            "bks_verify.csv"} <= {p.name for p in tmp_path.iterdir()}
 
 
 def test_stationary_checks_in_fresh_interpreter(tmp_path):

@@ -214,6 +214,27 @@ def test_bootstrap_matches_the_old_loops(sizes, n_boot, seed, data_seed,
                               equal_nan=True)
 
 
+def test_bootstrap_draws_numpys_indices_across_odd_chunks():
+    # 105 resamples of 31 + 8 indices make chunks of 4095 draws, so the
+    # first, third, ... chunk ends between the two halves of a 64-bit
+    # output and the next chunk starts with the buffered half
+    sizes, n_boot, seed = [31, 8], 500, 2**63 + 5
+    chunk = estimators._BOOT_DRAW_BUDGET // sum(sizes)
+    assert chunk * sum(sizes) % 2 == 1 and n_boot > 3 * chunk
+    gen = np.random.default_rng(seed)
+    want = [np.concatenate([gen.integers(0, m, m) for m in sizes])
+            for _ in range(n_boot)]
+    got = []
+
+    def stat(i, j):
+        assert i.shape[1:] == (31,) and j.shape[1:] == (8,)
+        got.extend(np.hstack((i, j)))
+        return np.arange(len(i), dtype=float)
+    boots = estimators._bootstrap(seed, n_boot, sizes, stat)
+    assert np.array_equal(got, want)
+    assert np.array_equal(boots, np.arange(n_boot) % chunk)
+
+
 def test_corr_difference_ci_matches_the_old_loop():
     res = corr_decay(0.5, 12, (0.25, 4.0), NoiseKind.SITE, replicas=40,
                      seed=23)

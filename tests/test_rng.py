@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -318,3 +318,52 @@ def test_rings_at_rings_the_largest_hash_once_every_clock_has_rung(
     assert np.array_equal(rung[1:], clock <= np.array([[5e-324], [36.7],
                                                        [37.0], [1e300]]))
     assert not rung[0].any() and rung[3:].all() and not rung[2, -1]
+
+
+# Bounds that take every path of numpy's 32-bit Lemire bound: 1 takes no
+# word, 2 rejects none, 2**31 + 1 rejects almost half the words and
+# 3 * 2**30 a quarter (every word with (w * high) mod 2**32 == 0), so the
+# draws after a rejected word shift onto the next words.
+_HIGHS = [1, 2, 7, 2000, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]),
+                   st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, calls=st.lists(
+    st.tuples(st.one_of(st.sampled_from(_HIGHS), st.integers(1, 2**32 - 1)),
+              # odd sizes leave a half-word for the next call; a call of
+              # more than 8192 words spans two jump blocks of 4096 outputs
+              st.one_of(st.integers(0, 41), st.integers(8191, 8195))),
+    min_size=1, max_size=6))
+@example(seed=0, calls=[(3 * 2**30, 8195), (1, 5), (2, 3), (2**31 + 1, 41),
+                        (2000, 8192)])
+@example(seed=2**64 - 1, calls=[(2, 1), (3 * 2**30, 8193), (1, 0), (7, 2)])
+def test_index_stream_equals_numpy_default_rng(seed, calls):
+    from numpy.random import default_rng
+    gen, stream = default_rng(seed), rng.IndexStream(seed)
+    for high, size in calls:
+        want = gen.integers(0, high, size)
+        got = stream.integers(high, size)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), (high, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, lead=st.integers(0, 3),
+       highs=st.lists(st.sampled_from(_HIGHS), max_size=80))
+def test_index_stream_takes_one_bound_per_draw(seed, lead, highs):
+    # numpy's array bounds draw element by element from the same words
+    from numpy.random import default_rng
+    gen, stream = default_rng(seed), rng.IndexStream(seed)
+    assert np.array_equal(stream.integers(7, lead), gen.integers(0, 7, lead))
+    highs = np.array(highs, dtype=np.int64)
+    assert np.array_equal(stream.integers(highs, highs.size),
+                          gen.integers(0, highs, highs.size))
+    assert np.array_equal(stream.integers(2000, 5), gen.integers(0, 2000, 5))
+
+
+@pytest.mark.parametrize("high", [0, 2**32, [5, 2**32]])
+def test_index_stream_rejects_bounds_outside_32_bits(high):
+    with pytest.raises(ValueError, match=r"high must lie in \[1, 2\*\*32\)"):
+        rng.IndexStream(1).integers(high, 2)
